@@ -1,23 +1,24 @@
 // E10 — Analytics substrate performance (tutorial §4: "semantic search
 // and analytics over entities and relations"). google-benchmark micro-
 // benchmarks over the triple store (index vs full scan), the join
-// engine (selectivity reordering on/off, streamed vs materialized
-// LIMIT, plan cache hit vs miss), the pluggable TripleSource (in-memory
-// snapshot vs LSM-backed StoredTripleSource) and the LSM store (Bloom
-// filters on/off) — the design-choice ablations of DESIGN.md §4.
+// engine (planned 3-way join, streamed LIMIT, plan cache hit vs miss)
+// and the LSM store (Bloom filters on/off) — the design choices of
+// DESIGN.md §4.
 //
-// `--smoke` skips google-benchmark and runs every ablation once on a
-// tiny graph (CI liveness + perf-trajectory seed, not a measurement).
+// `--smoke` skips google-benchmark and checks the executor's content
+// on a tiny graph: LIMIT visits exactly what it emits, a repeated
+// shape hits the plan cache, and the 3-way join returns exactly the
+// brute-force row count.
 
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <map>
 
 #include "bench_util.h"
 #include "query/engine.h"
 #include "rdf/triple_store.h"
 #include "storage/kv_store.h"
-#include "storage/stored_triple_source.h"
 #include "storage/triple_codec.h"
 #include "util/random.h"
 
@@ -27,7 +28,6 @@ namespace {
 
 constexpr size_t kEntities = 2000;
 constexpr size_t kTriples = 100000;
-constexpr size_t kStoredTriples = 20000;  // LSM mirror is write-heavier
 
 /// A synthetic (s, p, o) graph with 16 predicates.
 rdf::TripleStore BuildStore(uint64_t seed, size_t entities, size_t triples) {
@@ -62,54 +62,17 @@ std::string TempDbDir(const std::string& tag) {
   return path;
 }
 
-/// The same graph held twice: in memory and as triple keys in the LSM
-/// store, queried through the common TripleSource interface.
-struct StoredFixture {
-  rdf::TripleStore mem;
-  std::unique_ptr<storage::KVStore> kv;
-  std::unique_ptr<storage::StoredTripleSource> source;
-
-  StoredFixture(size_t entities, size_t triples) {
-    mem = BuildStore(34, entities, triples);
-    storage::StoreOptions options;
-    options.use_wal = false;
-    auto store = storage::KVStore::Open(options, TempDbDir("stored_src"));
-    kv = std::move(*store);
-    mem.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
-      for (storage::TripleOrder order :
-           {storage::TripleOrder::kSpo, storage::TripleOrder::kPos,
-            storage::TripleOrder::kOsp}) {
-        kv->Put(storage::EncodeTripleKey(order, t), "").ok();
-      }
-      return true;
-    });
-    kv->Flush().ok();
-    source = std::make_unique<storage::StoredTripleSource>(kv.get());
-  }
-};
-
-StoredFixture& GetStoredFixture() {
-  static StoredFixture* fixture = new StoredFixture(kEntities, kStoredTriples);
-  return *fixture;
-}
-
-query::SelectQuery MakeJoinQuery(const rdf::TripleStore& store,
-                                 bool selective_last) {
-  // ?x p0 ?y . ?y p1 ?z . ?x p2 e7  — the bound pattern placed first
-  // or last in written order.
+query::SelectQuery MakeJoinQuery(const rdf::TripleStore& store) {
+  // ?x p0 ?y . ?y p1 ?z . ?x p2 e7  — the bound pattern written last;
+  // the planner runs it first.
   auto var = [](const char* v) { return query::QueryTerm::Var(v); };
   auto bound = [&](const std::string& iri) {
     return query::QueryTerm::Bound(store.dict().Lookup(rdf::Term::Iri(iri)));
   };
   query::SelectQuery q;
-  query::QueryPattern p1{var("x"), bound("p0"), var("y")};
-  query::QueryPattern p2{var("y"), bound("p1"), var("z")};
-  query::QueryPattern p3{var("x"), bound("p2"), bound("e7")};
-  if (selective_last) {
-    q.where = {p1, p2, p3};
-  } else {
-    q.where = {p3, p1, p2};
-  }
+  q.where = {{var("x"), bound("p0"), var("y")},
+             {var("y"), bound("p1"), var("z")},
+             {var("x"), bound("p2"), bound("e7")}};
   return q;
 }
 
@@ -135,26 +98,14 @@ BENCHMARK(BM_TriplePattern_FullScan);
 
 void BM_Join3_Reordered(benchmark::State& state) {
   query::QueryEngine engine(&GetStore());
-  query::SelectQuery q = MakeJoinQuery(GetStore(), /*selective_last=*/true);
-  query::ExecutionOptions options;  // reordering on
+  query::SelectQuery q = MakeJoinQuery(GetStore());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Execute(q, options));
+    benchmark::DoNotOptimize(engine.Execute(q));
   }
 }
 BENCHMARK(BM_Join3_Reordered);
 
-void BM_Join3_WrittenOrder(benchmark::State& state) {
-  query::QueryEngine engine(&GetStore());
-  query::SelectQuery q = MakeJoinQuery(GetStore(), /*selective_last=*/true);
-  query::ExecutionOptions options;
-  options.reorder_patterns = false;  // executes the bad written order
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Execute(q, options));
-  }
-}
-BENCHMARK(BM_Join3_WrittenOrder);
-
-// ---- Streaming executor ablations ---------------------------------
+// ---- Streaming executor -------------------------------------------
 
 query::SelectQuery MakeLimitQuery(const rdf::TripleStore& store) {
   query::SelectQuery q;
@@ -170,25 +121,14 @@ void BM_Limit10_Streamed(benchmark::State& state) {
   query::QueryEngine engine(&GetStore());
   query::SelectQuery q = MakeLimitQuery(GetStore());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Execute(q));  // pushdown on
+    benchmark::DoNotOptimize(engine.Execute(q));
   }
 }
 BENCHMARK(BM_Limit10_Streamed);
 
-void BM_Limit10_Materialized(benchmark::State& state) {
-  query::QueryEngine engine(&GetStore());
-  query::SelectQuery q = MakeLimitQuery(GetStore());
-  query::ExecutionOptions options;
-  options.pushdown_limit = false;  // drain everything, truncate at the end
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Execute(q, options));
-  }
-}
-BENCHMARK(BM_Limit10_Materialized);
-
 void BM_PlanCache_Hit(benchmark::State& state) {
   query::QueryEngine engine(&GetStore());
-  query::SelectQuery q = MakeJoinQuery(GetStore(), /*selective_last=*/true);
+  query::SelectQuery q = MakeJoinQuery(GetStore());
   q.limit = 1;                  // keep execution cheap: planning dominates
   engine.Execute(q);            // warm the cache
   for (auto _ : state) {
@@ -198,68 +138,16 @@ void BM_PlanCache_Hit(benchmark::State& state) {
 BENCHMARK(BM_PlanCache_Hit);
 
 void BM_PlanCache_Miss(benchmark::State& state) {
-  query::QueryEngine engine(&GetStore());
-  query::SelectQuery q = MakeJoinQuery(GetStore(), /*selective_last=*/true);
+  query::SelectQuery q = MakeJoinQuery(GetStore());
   q.limit = 1;
-  query::ExecutionOptions options;
-  options.use_plan_cache = false;  // replan (incl. estimates) every run
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Execute(q, options));
+    // A fresh engine has an empty private plan cache: every run
+    // replans, cardinality estimates included.
+    query::QueryEngine engine(&GetStore());
+    benchmark::DoNotOptimize(engine.Execute(q));
   }
 }
 BENCHMARK(BM_PlanCache_Miss);
-
-// ---- TripleSource: memory vs LSM ----------------------------------
-
-void BM_PatternScan_MemorySource(benchmark::State& state) {
-  StoredFixture& fixture = GetStoredFixture();
-  rdf::TriplePattern pattern;
-  pattern.s = fixture.mem.dict().Lookup(rdf::Term::Iri("e42"));
-  for (auto _ : state) {
-    size_t n = 0;
-    fixture.mem.Scan(pattern, [&n](const rdf::Triple&) {
-      ++n;
-      return true;
-    });
-    benchmark::DoNotOptimize(n);
-  }
-}
-BENCHMARK(BM_PatternScan_MemorySource);
-
-void BM_PatternScan_StoredSource(benchmark::State& state) {
-  StoredFixture& fixture = GetStoredFixture();
-  rdf::TriplePattern pattern;
-  pattern.s = fixture.mem.dict().Lookup(rdf::Term::Iri("e42"));
-  for (auto _ : state) {
-    size_t n = 0;
-    fixture.source->Scan(pattern, [&n](const rdf::Triple&) {
-      ++n;
-      return true;
-    });
-    benchmark::DoNotOptimize(n);
-  }
-}
-BENCHMARK(BM_PatternScan_StoredSource);
-
-void BM_Join3_MemorySource(benchmark::State& state) {
-  StoredFixture& fixture = GetStoredFixture();
-  query::QueryEngine engine(&fixture.mem);
-  query::SelectQuery q = MakeJoinQuery(fixture.mem, /*selective_last=*/true);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Execute(q));
-  }
-}
-BENCHMARK(BM_Join3_MemorySource);
-
-void BM_Join3_StoredSource(benchmark::State& state) {
-  StoredFixture& fixture = GetStoredFixture();
-  query::QueryEngine engine(fixture.source.get());
-  query::SelectQuery q = MakeJoinQuery(fixture.mem, /*selective_last=*/true);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Execute(q));
-  }
-}
-BENCHMARK(BM_Join3_StoredSource);
 
 // ---- LSM store ----------------------------------------------------
 
@@ -360,87 +248,92 @@ void BM_LsmScan(benchmark::State& state) {
 }
 BENCHMARK(BM_LsmScan);
 
-// ---- --smoke: every ablation once on a tiny graph -----------------
+// ---- --smoke: executor content checks on a tiny graph -------------
 
 double TimeQueryMs(const query::QueryEngine& engine,
-                   const query::SelectQuery& q,
-                   const query::ExecutionOptions& options,
-                   query::QueryStats* stats = nullptr) {
+                   const query::SelectQuery& q, query::QueryStats* stats) {
   kbbench::Timer timer;
-  engine.Execute(q, options, stats);
+  engine.Execute(q, {}, stats);
   return timer.ms();
+}
+
+/// Rows of MakeJoinQuery's {?x p0 ?y . ?y p1 ?z . ?x p2 e7}, counted
+/// by folding one MatchFullScan pass: for every (x p0 y), the number
+/// of (x p2 e7) triples times the number of (y p1 *) triples.
+size_t BruteForceJoinRows(const rdf::TripleStore& store) {
+  auto id = [&](const char* iri) {
+    return store.dict().Lookup(rdf::Term::Iri(iri));
+  };
+  const rdf::TermId p0 = id("p0"), p1 = id("p1"), p2 = id("p2"), e7 = id("e7");
+  std::vector<rdf::Triple> all = store.MatchFullScan(rdf::TriplePattern());
+  std::map<rdf::TermId, size_t> p1_out, p2_e7;
+  for (const rdf::Triple& t : all) {
+    if (t.p == p1) ++p1_out[t.s];
+    if (t.p == p2 && t.o == e7) ++p2_e7[t.s];
+  }
+  size_t rows = 0;
+  for (const rdf::Triple& t : all) {
+    if (t.p != p0) continue;
+    auto x = p2_e7.find(t.s);
+    auto y = p1_out.find(t.o);
+    if (x != p2_e7.end() && y != p1_out.end()) rows += x->second * y->second;
+  }
+  return rows;
 }
 
 int RunSmoke() {
   kbbench::Banner(
       "E10 query+storage (smoke)",
-      "indexes, join reordering, LIMIT streaming and plan caching each "
-      "cut query work; the same plans run off the LSM store",
-      "streamed LIMIT visits fewer intermediate rows; cache hits skip "
-      "planning; stored-source results match memory");
+      "the streaming executor stops at LIMIT, reuses cached plans and "
+      "joins exactly",
+      "LIMIT 10 visits exactly 10 intermediate rows; a repeated shape "
+      "hits the plan cache; the 3-way join matches a brute-force count");
   rdf::TripleStore store = BuildStore(33, 200, 5000);
   query::QueryEngine engine(&store);
 
   query::SelectQuery limit_q = MakeLimitQuery(store);
-  query::QueryStats streamed, drained;
-  query::ExecutionOptions no_pushdown;
-  no_pushdown.pushdown_limit = false;
-  double streamed_ms = TimeQueryMs(engine, limit_q, {}, &streamed);
-  double drained_ms = TimeQueryMs(engine, limit_q, no_pushdown, &drained);
+  query::QueryStats streamed;
+  double streamed_ms = TimeQueryMs(engine, limit_q, &streamed);
   kbbench::Row("%-34s %8.3f ms  %6llu intermediate rows",
                "LIMIT 10 streamed", streamed_ms,
                static_cast<unsigned long long>(streamed.intermediate_rows));
-  kbbench::Row("%-34s %8.3f ms  %6llu intermediate rows",
-               "LIMIT 10 materialized", drained_ms,
-               static_cast<unsigned long long>(drained.intermediate_rows));
 
-  query::SelectQuery join_q = MakeJoinQuery(store, /*selective_last=*/true);
+  query::SelectQuery join_q = MakeJoinQuery(store);
   query::QueryStats miss, hit;
-  query::ExecutionOptions uncached;
-  uncached.use_plan_cache = false;
-  double miss_ms = TimeQueryMs(engine, join_q, uncached, &miss);
-  TimeQueryMs(engine, join_q, {}, nullptr);  // warm
-  double hit_ms = TimeQueryMs(engine, join_q, {}, &hit);
-  kbbench::Row("%-34s %8.3f ms  cache_hit=%d", "3-way join, replanned",
+  double miss_ms = TimeQueryMs(engine, join_q, &miss);
+  double hit_ms = TimeQueryMs(engine, join_q, &hit);
+  kbbench::Row("%-34s %8.3f ms  cache_hit=%d", "3-way join, first run",
                miss_ms, miss.plan_cache_hit ? 1 : 0);
   kbbench::Row("%-34s %8.3f ms  cache_hit=%d", "3-way join, cached plan",
                hit_ms, hit.plan_cache_hit ? 1 : 0);
 
-  StoredFixture fixture(/*entities=*/50, /*triples=*/2000);
-  query::QueryEngine mem_engine(&fixture.mem);
-  query::QueryEngine disk_engine(fixture.source.get());
-  query::SelectQuery src_q = MakeJoinQuery(fixture.mem,
-                                           /*selective_last=*/true);
-  kbbench::Timer mem_timer;
-  auto mem_rows = mem_engine.Execute(src_q);
-  double mem_ms = mem_timer.ms();
-  kbbench::Timer disk_timer;
-  auto disk_rows = disk_engine.Execute(src_q);
-  double disk_ms = disk_timer.ms();
-  kbbench::Row("%-34s %8.3f ms  %zu rows", "3-way join, memory source",
-               mem_ms, mem_rows.size());
-  kbbench::Row("%-34s %8.3f ms  %zu rows", "3-way join, stored source",
-               disk_ms, disk_rows.size());
+  // The join runs on a denser graph (50 entities), where the bound
+  // pattern's subjects actually reach p0/p1 paths.
+  rdf::TripleStore dense = BuildStore(34, 50, 2000);
+  query::QueryEngine dense_engine(&dense);
+  const size_t join_rows = dense_engine.Execute(MakeJoinQuery(dense)).size();
+  const size_t brute_rows = BruteForceJoinRows(dense);
+  kbbench::Row("%-34s %8zu rows (brute force %zu)", "3-way join", join_rows,
+               brute_rows);
   kbbench::Report("e10.limit", "streamed_ms", streamed_ms);
-  kbbench::Report("e10.limit", "materialized_ms", drained_ms);
   kbbench::Report("e10.limit", "streamed_intermediate_rows",
                   static_cast<double>(streamed.intermediate_rows));
-  kbbench::Report("e10.limit", "materialized_intermediate_rows",
-                  static_cast<double>(drained.intermediate_rows));
   kbbench::Report("e10.plan_cache", "miss_ms", miss_ms);
   kbbench::Report("e10.plan_cache", "hit_ms", hit_ms);
-  kbbench::Report("e10.source", "memory_ms", mem_ms);
-  kbbench::Report("e10.source", "stored_ms", disk_ms);
-  if (disk_rows.size() != mem_rows.size()) {
-    kbbench::Row("FAIL: stored source disagrees with memory source");
+  kbbench::Report("e10.join", "rows", static_cast<double>(join_rows));
+  if (streamed.intermediate_rows != limit_q.limit) {
+    kbbench::Row("FAIL: LIMIT %zu visited %llu intermediate rows",
+                 limit_q.limit,
+                 static_cast<unsigned long long>(streamed.intermediate_rows));
     return 1;
   }
-  if (streamed.intermediate_rows >= drained.intermediate_rows) {
-    kbbench::Row("FAIL: LIMIT pushdown did not reduce intermediate rows");
-    return 1;
-  }
-  if (!hit.plan_cache_hit) {
+  if (miss.plan_cache_hit || !hit.plan_cache_hit) {
     kbbench::Row("FAIL: repeated query shape missed the plan cache");
+    return 1;
+  }
+  if (join_rows != brute_rows || join_rows == 0) {
+    kbbench::Row("FAIL: 3-way join returned %zu rows, brute force %zu",
+                 join_rows, brute_rows);
     return 1;
   }
   kbbench::Row("ok");

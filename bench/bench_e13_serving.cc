@@ -25,7 +25,7 @@
 
 #include "bench_util.h"
 #include "core/harvester.h"
-#include "rdf/namespaces.h"
+#include "hot_query_mix.h"
 #include "server/kb_client.h"
 #include "server/kb_server.h"
 #include "util/metrics_registry.h"
@@ -144,23 +144,12 @@ int main(int argc, char** argv) {
                kb.NumEntities());
 
   // Hot query mix: full worksFor relation scan (expensive: join-free
-  // but renders every row), per-company member lists, typed entities.
-  std::vector<std::string> queries = {
-      "SELECT ?p ?c WHERE { ?p <" + rdf::PropertyIri("worksFor") +
-          "> ?c . }",
-      "SELECT ?p WHERE { ?p "
-      "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <" +
-          rdf::ClassIri("person") + "> . }",
-  };
-  std::vector<std::string> entities;
-  for (uint32_t id : corpus.world.ByKind(corpus::EntityKind::kCompany)) {
-    const corpus::Entity& company = corpus.world.entity(id);
-    queries.push_back("SELECT ?p WHERE { ?p <" +
-                      rdf::PropertyIri("worksFor") + "> <" +
-                      rdf::EntityIri(company.canonical) + "> . }");
-    entities.push_back(company.canonical);
-    if (queries.size() >= 8) break;
-  }
+  // but renders every row), typed entities, per-company member lists;
+  // every query is checked to match rows before anything is timed.
+  kbbench::HotQueryMix mix;
+  if (!kbbench::BuildHotQueryMix(kb, corpus.world, 8, &mix)) return 1;
+  const std::vector<std::string>& queries = mix.queries;
+  const std::vector<std::string>& entities = mix.companies;
 
   const int kThreads = static_cast<int>(args.Scaled(8, 4));
   const size_t kPerThread = args.Scaled(600, 120);

@@ -25,10 +25,10 @@
 
 #include "bench_util.h"
 #include "core/harvester.h"
+#include "hot_query_mix.h"
 #include "loadgen/key_chooser.h"
 #include "loadgen/open_loop.h"
 #include "loadgen/workload.h"
-#include "rdf/namespaces.h"
 #include "server/kb_client.h"
 #include "server/kb_server.h"
 #include "util/metrics_registry.h"
@@ -133,22 +133,12 @@ int main(int argc, char** argv) {
                kb.NumEntities());
 
   // The hot-query mix from E13: one expensive full-relation scan, a
-  // type scan, and per-company member lists. Zipfian choice makes the
-  // first entries much hotter — the result cache's favorite shape.
-  std::vector<std::string> queries = {
-      "SELECT ?p ?c WHERE { ?p <" + rdf::PropertyIri("worksFor") +
-          "> ?c . }",
-      "SELECT ?p WHERE { ?p "
-      "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <" +
-          rdf::ClassIri("person") + "> . }",
-  };
-  for (uint32_t id : corpus.world.ByKind(corpus::EntityKind::kCompany)) {
-    const corpus::Entity& company = corpus.world.entity(id);
-    queries.push_back("SELECT ?p WHERE { ?p <" +
-                      rdf::PropertyIri("worksFor") + "> <" +
-                      rdf::EntityIri(company.canonical) + "> . }");
-    if (queries.size() >= 8) break;
-  }
+  // type scan, and per-company member lists, each checked to match
+  // rows before timing. Zipfian choice makes the first entries much
+  // hotter — the result cache's favorite shape.
+  kbbench::HotQueryMix mix;
+  if (!kbbench::BuildHotQueryMix(kb, corpus.world, 8, &mix)) return 1;
+  const std::vector<std::string>& queries = mix.queries;
 
   server::KbServer::Options options;
   options.num_workers = 4;

@@ -1,17 +1,15 @@
 // E17 — Frame-store snapshots and instant start. The frame-store
 // refactor packs the KB into one mmap-able artifact (arena strings,
 // fixed-width id-triples in three sorted runs, packed fact metadata).
-// We measure the two claims that motivated it:
+// We measure the claim that motivated it:
 //
-//   (a) cold start: booting a server by mapping a snapshot is >= 10x
-//       faster than replaying the equivalent WAL/delta state, and the
-//       gap widens with KB size (mmap is O(taxonomy), replay is O(KB));
-//   (b) id-native execution: scan+join on bare uint32 ids beats the
-//       term-object path (the materialize_terms ablation drags all
-//       three Terms of every visited triple off the heap).
+//   cold start: booting a server by mapping a snapshot is >= 10x
+//   faster than replaying the equivalent WAL/delta state, and the gap
+//   widens with KB size (mmap is O(taxonomy), replay is O(KB));
 //
-// Plus a micro comparison of FrameStore id scans vs term-object
-// matching, and the snapshot artifact size per triple.
+// then time one fat id-native scan+join over the booted KB, whose row
+// count must equal a brute-force count, and report the snapshot
+// artifact size per triple.
 
 #include <algorithm>
 #include <cstdio>
@@ -93,11 +91,9 @@ int main(int argc, char** argv) {
   kbbench::Banner(
       "E17: frame-store snapshots and id-native execution",
       "mapping one arena-packed snapshot cold-starts the KB >= 10x "
-      "faster than delta replay, and joining on bare uint32 ids beats "
-      "materializing term objects per visited triple",
+      "faster than delta replay",
       "snapshot load is milliseconds regardless of replay cost; the "
-      "term-object ablation pays per-triple heap traffic the id path "
-      "never sees");
+      "id-native join returns exactly the brute-force row count");
 
   // The smoke corpus stays big enough that replay time dwarfs the
   // snapshot path's fixed costs (mmap + CRC + taxonomy rebuild) — the
@@ -167,9 +163,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --- (b) id-native scan+join vs term-object ablation --------------
-  // One fat two-pattern join, repeated; the only difference between
-  // the runs is ExecutionOptions::materialize_terms.
+  // --- id-native scan+join ---------------------------------------------
   rdf::TermId busiest = BusiestPredicate(kb);
   rdf::TermId type_id =
       kb.store().dict().Lookup(rdf::Term::Iri(std::string(rdf::kRdfType)));
@@ -177,9 +171,8 @@ int main(int argc, char** argv) {
     printf("FAIL: harvested KB lacks a usable predicate\n");
     return 1;
   }
-  // An unselective three-pattern join: the full-scan head makes the
-  // executor visit every triple, so the ablation's per-visited-triple
-  // materialization cost dominates over timer jitter.
+  // A three-pattern join written unselective-first: the planner starts
+  // from the smaller constant-bound pattern and probes the rest.
   query::SelectQuery join;
   join.where.push_back({query::QueryTerm::Var("x"),
                         query::QueryTerm::Var("p"),
@@ -192,87 +185,45 @@ int main(int argc, char** argv) {
                         query::QueryTerm::Var("c")});
   query::QueryEngine engine(&kb.store());
   const int rounds = static_cast<int>(args.Scaled(60, 30));
-  query::ExecutionOptions id_native;
-  id_native.reorder_patterns = false;  // keep the fat scan first
-  query::ExecutionOptions term_objects;
-  term_objects.reorder_patterns = false;
-  term_objects.materialize_terms = &kb.store().dict();
+  size_t rows = engine.Execute(join).size();  // warm (plan cache, pages)
+  std::vector<double> samples;
+  for (int i = 0; i < rounds; ++i) {
+    kbbench::Timer timer;
+    rows = engine.Execute(join).size();
+    samples.push_back(timer.ms());
+  }
+  const double join_ms = MedianOf(samples);
 
-  auto time_query = [&](const query::ExecutionOptions& options,
-                        query::QueryStats* stats) {
-    engine.Execute(join, options, stats);  // warm (plan cache, pages)
-    std::vector<double> samples;
-    size_t rows = 0;
-    for (int i = 0; i < rounds; ++i) {
-      kbbench::Timer timer;
-      rows = engine.Execute(join, options, stats).size();
-      samples.push_back(timer.ms());
+  // Brute force over one full scan: every (x busiest y) pairs with each
+  // triple from x to y (any predicate, itself included) and each type
+  // of y.
+  std::map<std::pair<rdf::TermId, rdf::TermId>, size_t> links;
+  std::map<rdf::TermId, size_t> types;
+  std::vector<rdf::Triple> all = kb.store().MatchFullScan(rdf::TriplePattern{});
+  for (const rdf::Triple& t : all) {
+    ++links[{t.s, t.o}];
+    if (t.p == type_id) ++types[t.s];
+  }
+  size_t expected_rows = 0;
+  for (const rdf::Triple& t : all) {
+    if (t.p != busiest) continue;
+    auto typed = types.find(t.o);
+    if (typed != types.end()) {
+      expected_rows += links[{t.s, t.o}] * typed->second;
     }
-    printf("  rows per execution: %zu\n", rows);
-    return MedianOf(samples);
-  };
+  }
 
   printf("\n");
-  query::QueryStats id_stats, term_stats;
-  const double id_ms = time_query(id_native, &id_stats);
-  const double term_ms = time_query(term_objects, &term_stats);
-  kbbench::Row("%-32s %12.3f", "id-native join ms (median)", id_ms);
-  kbbench::Row("%-32s %12.3f", "term-object join ms (median)", term_ms);
-  kbbench::Row("%-32s %12.1fx", "id-native advantage", term_ms / id_ms);
-  kbbench::Row("%-32s %12llu", "terms materialized / exec",
-               static_cast<unsigned long long>(
-                   term_stats.terms_materialized));
-  kbbench::Report("e17_snapshot", "join_id_native_ms", id_ms);
-  kbbench::Report("e17_snapshot", "join_term_object_ms", term_ms);
-  kbbench::Report("e17_snapshot", "id_native_advantage", term_ms / id_ms);
-  if (id_ms >= term_ms) {
-    printf("FAIL: id-native join (%.3f ms) not faster than term-object "
-           "path (%.3f ms)\n", id_ms, term_ms);
+  kbbench::Row("%-32s %12.3f", "id-native join ms (median)", join_ms);
+  kbbench::Row("%-32s %12zu", "join rows", rows);
+  kbbench::Report("e17_snapshot", "join_id_native_ms", join_ms);
+  kbbench::Report("e17_snapshot", "join_rows", static_cast<double>(rows));
+  if (rows != expected_rows || rows == 0) {
+    printf("FAIL: join returned %zu rows, brute force counts %zu\n", rows,
+           expected_rows);
     return 1;
   }
 
-  // --- frame-store micro: id scans vs term-object matching ----------
-  // Per-subject lookups straight against the mapped FrameStore.
-  const auto& base = kb.store().base();
-  if (base == nullptr) return 1;
-  std::vector<rdf::TermId> subjects;
-  for (auto it = base->NewScan(rdf::TriplePattern{}); it->Valid();
-       it->Next()) {
-    if (subjects.empty() || subjects.back() != it->Value().s) {
-      subjects.push_back(it->Value().s);
-    }
-  }
-  const int micro_rounds = static_cast<int>(args.Scaled(20, 5));
-  size_t checksum_ids = 0, checksum_terms = 0;
-  kbbench::Timer id_timer;
-  for (int r = 0; r < micro_rounds; ++r) {
-    for (rdf::TermId s : subjects) {
-      checksum_ids += base->MatchFullScan(
-          rdf::TriplePattern{s, rdf::kAnyTerm, rdf::kAnyTerm}).size();
-    }
-  }
-  const double id_scan_ms = id_timer.ms();
-  kbbench::Timer term_timer;
-  for (int r = 0; r < micro_rounds; ++r) {
-    for (rdf::TermId s : subjects) {
-      rdf::Term subject = base->MaterializeTerm(s);
-      checksum_terms += base->MatchTermObjects(&subject, nullptr,
-                                               nullptr).size();
-    }
-  }
-  const double term_scan_ms = term_timer.ms();
-  if (checksum_ids != checksum_terms) {
-    printf("FAIL: id scans saw %zu triples, term scans %zu\n",
-           checksum_ids, checksum_terms);
-    return 1;
-  }
-  printf("\n");
-  kbbench::Row("%-32s %12.2f", "id per-subject scans ms", id_scan_ms);
-  kbbench::Row("%-32s %12.2f", "term-object scans ms", term_scan_ms);
-  kbbench::Report("e17_snapshot", "scan_id_ms", id_scan_ms);
-  kbbench::Report("e17_snapshot", "scan_term_object_ms", term_scan_ms);
-
-  printf("\nE17 OK: %.1fx cold start, %.1fx id-native join advantage\n",
-         speedup, term_ms / id_ms);
+  printf("\nE17 OK: %.1fx cold start, join rows exact (%zu)\n", speedup, rows);
   return 0;
 }

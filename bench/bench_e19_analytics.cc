@@ -1,24 +1,22 @@
-// E19: analytics over the served KB — aggregation executors and
+// E19: analytics over the served KB — aggregates in the executor and
 // offline graph jobs.
 //
-// Two claims ride this bench. First, the vector-at-a-time batch
-// executor with its Bloom semijoin prefilter beats the Volcano
-// row-at-a-time ablation on the canonical dashboard shape — a
-// join-heavy GROUP BY count — because it amortizes operator dispatch
-// over whole id-column chunks and skips index probes for outer rows
-// whose join key cannot match. Both modes run the same written-order
-// plan (reorder_patterns off), so the delta is the executor, not the
-// join order. Second, the offline jobs (PageRank over the entity link
-// graph, class-distribution rollups over taxonomy subsumption) run
-// id-native against the store and parallelize across a shared
-// ThreadPool, and their results serve from the epoch-invalidated
-// result cache when reached through the server's analytics endpoint —
-// the dashboard-refresh path is a cache hit, not a recompute.
+// Two claims ride this bench. First, the canonical dashboard shape — a
+// join-heavy GROUP BY count — runs through the planner the server uses
+// and returns exactly the groups and counts of a brute-force fold over
+// a full scan, visiting exactly the triples the plan implies. Second,
+// the offline jobs (PageRank over the entity link graph,
+// class-distribution rollups over taxonomy subsumption) run id-native
+// against the store and parallelize across a shared ThreadPool, and
+// their results serve from the epoch-invalidated result cache when
+// reached through the server's analytics endpoint — the
+// dashboard-refresh path is a cache hit, not a recompute.
 
 #include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,12 +53,12 @@ double BestOf(int rounds, int reps, const std::function<void()>& fn) {
 int main(int argc, char** argv) {
   kbbench::BenchArgs args = kbbench::ParseArgs(argc, argv);
   kbbench::Banner(
-      "E19: analytics execution — batched aggregates and graph jobs",
-      "dashboard aggregates run vectorized with a Bloom semijoin "
-      "prefilter, and offline graph analytics (PageRank, class "
-      "rollups) run id-native on a shared thread pool behind the "
-      "server's cached analytics endpoint",
-      "batch+Bloom beats row-at-a-time on a join-heavy GROUP BY; "
+      "E19: analytics execution — aggregates and graph jobs",
+      "dashboard aggregates run id-native through the planned executor, "
+      "and offline graph analytics (PageRank, class rollups) run "
+      "id-native on a shared thread pool behind the server's cached "
+      "analytics endpoint",
+      "a join-heavy GROUP BY matches a brute-force fold exactly; "
       "PageRank parallelizes without changing its fixpoint; the warm "
       "dashboard call is a cache hit");
 
@@ -80,14 +78,10 @@ int main(int argc, char** argv) {
 
   bool ok = true;
 
-  // ---- Phase 1: join-heavy aggregate, row vs batch+Bloom ----------
+  // ---- Phase 1: join-heavy aggregate -------------------------------
   //
-  // Employees per company headquartered in one city: the unselective
-  // worksFor relation joins into a city-bound headquarteredIn level,
-  // so the Bloom filter holds only that city's few company keys —
-  // nearly every outer row is eliminated by a couple of bit probes
-  // instead of an index lookup. The city with the most headquarters
-  // is chosen so the aggregate still has several groups.
+  // Employees per company headquartered in one city. The city with the
+  // most headquarters is chosen so the aggregate has several groups.
   const rdf::TermId hq_predicate = kb.store().dict().Lookup(
       rdf::Term::Iri(rdf::PropertyIri("headquarteredIn")));
   std::map<rdf::TermId, size_t> hq_cities;
@@ -123,56 +117,59 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  query::ExecutionOptions row_opts;
-  row_opts.reorder_patterns = false;  // identical plans: executor A/B only
-  query::ExecutionOptions batch_opts = row_opts;
-  batch_opts.batch_size = 1024;
+  // Brute force: fold one full scan into employees per HQ company.
+  const rdf::TermId works_for = kb.store().dict().Lookup(
+      rdf::Term::Iri(rdf::PropertyIri("worksFor")));
+  std::set<rdf::TermId> hq_companies;
+  for (const rdf::Triple& t :
+       kb.store().MatchFullScan({rdf::kAnyTerm, hq_predicate, top_city})) {
+    hq_companies.insert(t.s);
+  }
+  std::map<rdf::TermId, uint64_t> expected;  // company -> employees
+  uint64_t employee_rows = 0;
+  for (const rdf::Triple& t :
+       kb.store().MatchFullScan({rdf::kAnyTerm, works_for, rdf::kAnyTerm})) {
+    if (hq_companies.count(t.o) == 0) continue;
+    ++expected[t.o];
+    ++employee_rows;
+  }
 
-  query::QueryStats row_stats, batch_stats;
-  auto row_rows = kb.Execute(*parsed, row_opts, &row_stats);
-  auto batch_rows = kb.Execute(*parsed, batch_opts, &batch_stats);
-  if (row_rows.size() != batch_rows.size() || row_rows.empty()) {
-    fprintf(stderr, "FAIL: row mode %zu groups, batch mode %zu\n",
-            row_rows.size(), batch_rows.size());
+  query::QueryStats agg_stats;
+  auto agg_rows = kb.Execute(*parsed, {}, &agg_stats);
+  std::map<rdf::TermId, uint64_t> got;
+  for (const query::Binding& row : agg_rows) got[row.at("c")] = row.at("n");
+  if (got != expected || got.size() != agg_rows.size() || got.empty()) {
+    fprintf(stderr,
+            "FAIL: aggregate returned %zu groups, brute force %zu (or the "
+            "counts differ)\n",
+            agg_rows.size(), expected.size());
+    ok = false;
+  }
+  // The planner leads with the city-bound headquarteredIn pattern (two
+  // constants), then probes each HQ company's employees: it visits
+  // exactly the HQ triples plus the joined worksFor triples.
+  const uint64_t expected_visits = top_city_count + employee_rows;
+  if (agg_stats.intermediate_rows != expected_visits) {
+    fprintf(stderr, "FAIL: aggregate visited %llu triples, expected %llu\n",
+            static_cast<unsigned long long>(agg_stats.intermediate_rows),
+            static_cast<unsigned long long>(expected_visits));
     ok = false;
   }
 
   const int kRounds = 5;
   const int kReps = static_cast<int>(args.Scaled(50, 30));
-  double row_ms = BestOf(kRounds, kReps, [&] {
+  double agg_ms = BestOf(kRounds, kReps, [&] {
     query::QueryStats stats;
-    kb.Execute(*parsed, row_opts, &stats);
+    kb.Execute(*parsed, {}, &stats);
   });
-  double batch_ms = BestOf(kRounds, kReps, [&] {
-    query::QueryStats stats;
-    kb.Execute(*parsed, batch_opts, &stats);
-  });
-  double batch_x = batch_ms > 0 ? row_ms / batch_ms : 0;
-  double bloom_hit_rate =
-      batch_stats.bloom_probes > 0
-          ? static_cast<double>(batch_stats.bloom_hits) /
-                static_cast<double>(batch_stats.bloom_probes)
-          : 1.0;
-  kbbench::Row("aggregate (%zu groups): row %.2f ms, batch+bloom %.2f ms "
-               "(%.2fx), %llu bloom probes at %.0f%% pass rate",
-               row_rows.size(), row_ms / kReps, batch_ms / kReps, batch_x,
-               static_cast<unsigned long long>(batch_stats.bloom_probes),
-               bloom_hit_rate * 100);
-  if (batch_ms > row_ms) {
-    fprintf(stderr,
-            "FAIL: batch+bloom %.2f ms is slower than row-at-a-time "
-            "%.2f ms on the join-heavy aggregate\n",
-            batch_ms, row_ms);
-    ok = false;
-  }
+  kbbench::Row("aggregate (%zu groups): %.3f ms, %llu intermediate rows",
+               agg_rows.size(), agg_ms / kReps,
+               static_cast<unsigned long long>(agg_stats.intermediate_rows));
   kbbench::Report("e19_analytics", "agg_groups",
-                  static_cast<double>(row_rows.size()));
-  kbbench::Report("e19_analytics", "agg_row_ms", row_ms / kReps);
-  kbbench::Report("e19_analytics", "agg_batch_ms", batch_ms / kReps);
-  kbbench::Report("e19_analytics", "agg_batch_vs_row_x", batch_x);
-  kbbench::Report("e19_analytics", "bloom_probes",
-                  static_cast<double>(batch_stats.bloom_probes));
-  kbbench::Report("e19_analytics", "bloom_pass_rate", bloom_hit_rate);
+                  static_cast<double>(agg_rows.size()));
+  kbbench::Report("e19_analytics", "agg_ms", agg_ms / kReps);
+  kbbench::Report("e19_analytics", "agg_intermediate_rows",
+                  static_cast<double>(agg_stats.intermediate_rows));
 
   // ---- Phase 2: PageRank, serial vs shared-pool parallel ----------
   analytics::PageRankOptions pr_options;

@@ -14,7 +14,7 @@
 
 #include "core/entity_card.h"
 #include "core/harvester.h"
-#include "core/persistence.h"
+#include "core/kb_snapshot.h"
 #include "query/engine.h"
 #include "rdf/namespaces.h"
 #include "util/string_util.h"
@@ -143,41 +143,39 @@ int main() {
     printf("knowledge panel:\n%s", core::RenderEntityCard(*card).c_str());
   }
 
-  // Persist the KB and stream a LIMIT query straight off the LSM
-  // store: LoadDictionary + NewTripleSource skip rebuilding the
-  // in-memory KB entirely, and the pull cursor stops the pipeline
+  // Snapshot the KB and stream a LIMIT query off the mapped file:
+  // WriteKbSnapshot + OpenKbSnapshot + FromSnapshot boot a KB without
+  // replaying a single fact, and the pull cursor stops the pipeline
   // after three rows instead of enumerating every binding.
-  std::string dir = (std::filesystem::temp_directory_path() /
-                     "kbforge_semantic_search")
-                        .string();
-  std::filesystem::remove_all(dir);
-  auto storage = core::KbStorage::Open(dir);
-  if (storage.ok() && (*storage)->Save(result.kb).ok()) {
-    auto dict = (*storage)->LoadDictionary();
-    auto source = (*storage)->NewTripleSource();
-    auto parsed = dict.ok()
-                      ? query::ParseSparql(
-                            "SELECT ?p ?c WHERE { ?p <" +
-                                rdf::PropertyIri("worksFor") + "> ?c . } "
-                                "LIMIT 3",
-                            *dict)
-                      : dict.status();
-    if (parsed.ok()) {
-      query::QueryEngine engine(source.get());
-      query::Cursor cursor = engine.Open(*parsed);
-      printf("\nstreamed off disk (LIMIT 3):\n");
-      query::Row row;
-      while (cursor.Next(&row)) {
-        printf("  %s worksFor %s\n",
-               rdf::Abbreviate(dict->term(row[0]).value()).c_str(),
-               rdf::Abbreviate(dict->term(row[1]).value()).c_str());
+  std::string path = (std::filesystem::temp_directory_path() /
+                      "kbforge_semantic_search.kbsnap")
+                         .string();
+  storage::Env* env = storage::Env::Default();
+  if (core::WriteKbSnapshot(env, path, result.kb).ok()) {
+    auto base = core::OpenKbSnapshot(env, path);
+    if (base.ok()) {
+      auto booted = core::KnowledgeBase::FromSnapshot(std::move(*base));
+      auto parsed = booted->ParseQuery("SELECT ?p ?c WHERE { ?p <" +
+                                       rdf::PropertyIri("worksFor") +
+                                       "> ?c . } LIMIT 3");
+      if (parsed.ok()) {
+        const rdf::Dictionary& dict = booted->store().dict();
+        query::QueryEngine engine(&booted->store());
+        query::Cursor cursor = engine.Open(*parsed);
+        printf("\nstreamed off the mapped snapshot (LIMIT 3):\n");
+        query::Row row;
+        while (cursor.Next(&row)) {
+          printf("  %s worksFor %s\n",
+                 rdf::Abbreviate(dict.term(row[0]).value()).c_str(),
+                 rdf::Abbreviate(dict.term(row[1]).value()).c_str());
+        }
+        printf("  (touched %llu of %zu snapshot triples before stopping)\n",
+               static_cast<unsigned long long>(
+                   cursor.stats().intermediate_rows),
+               booted->NumTriples());
       }
-      printf("  (touched %llu of %zu stored triples before stopping)\n",
-             static_cast<unsigned long long>(
-                 cursor.stats().intermediate_rows),
-             result.kb.NumTriples());
     }
   }
-  std::filesystem::remove_all(dir);
+  std::filesystem::remove(path);
   return 0;
 }

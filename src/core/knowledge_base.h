@@ -127,8 +127,8 @@ class KnowledgeBase {
   /// Runs a SPARQL-lite query against the store.
   StatusOr<std::vector<query::Binding>> Query(std::string_view sparql) const;
 
-  /// Query with executor knobs (deadline, row caps, ablation toggles)
-  /// and optional stats out-param — the serving layer's entry point.
+  /// Query with serving limits (deadline, row cap) and optional stats
+  /// out-param — the serving layer's entry point.
   /// On a deadline the partial rows produced so far are returned and
   /// `stats->deadline_exceeded` is set; callers decide whether a
   /// prefix is acceptable.

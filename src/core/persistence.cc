@@ -108,7 +108,7 @@ Status KbStorage::Save(const KnowledgeBase& kb) {
     KB_RETURN_IF_ERROR(
         store_->Put(DictKey(id), triples.dict().term(id).ToString()));
   }
-  // Triples in all three orders; metadata rides on the SPO copy.
+  // Triples (SPO keys), each carrying its metadata.
   Status status = Status::OK();
   rdf::TriplePattern all;
   triples.Scan(all, [&](const rdf::Triple& t) {
@@ -116,14 +116,6 @@ Status KbStorage::Save(const KnowledgeBase& kb) {
     std::string value = meta != nullptr ? EncodeMeta(*meta) : std::string();
     Status s = store_->Put(
         storage::EncodeTripleKey(storage::TripleOrder::kSpo, t), value);
-    if (s.ok()) {
-      s = store_->Put(
-          storage::EncodeTripleKey(storage::TripleOrder::kPos, t), "");
-    }
-    if (s.ok()) {
-      s = store_->Put(
-          storage::EncodeTripleKey(storage::TripleOrder::kOsp, t), "");
-    }
     if (!s.ok()) {
       status = s;
       return false;
@@ -165,10 +157,6 @@ Status KbStorage::SaveOverlay(const KnowledgeBase& kb) {
     std::string value = meta != nullptr ? EncodeMeta(*meta) : std::string();
     KB_RETURN_IF_ERROR(store_->Put(
         storage::EncodeTripleKey(storage::TripleOrder::kSpo, t), value));
-    KB_RETURN_IF_ERROR(store_->Put(
-        storage::EncodeTripleKey(storage::TripleOrder::kPos, t), ""));
-    KB_RETURN_IF_ERROR(store_->Put(
-        storage::EncodeTripleKey(storage::TripleOrder::kOsp, t), ""));
   }
   return store_->Flush();
 }
@@ -239,40 +227,6 @@ Status KbStorage::ApplyInto(KnowledgeBase* kb) {
       }));
   KB_RETURN_IF_ERROR(status);
   return Status::OK();
-}
-
-StatusOr<rdf::Dictionary> KbStorage::LoadDictionary() {
-  // Varint-encoded ids do not scan in numeric order, so collect first,
-  // then intern in ascending id order to reproduce the on-disk ids.
-  std::map<rdf::TermId, rdf::Term> terms;
-  Status status = Status::OK();
-  std::string dict_end(1, kDictPrefix + 1);
-  KB_RETURN_IF_ERROR(store_->Scan(
-      Slice(std::string(1, kDictPrefix)), Slice(dict_end),
-      [&](const Slice& key, const Slice& value) {
-        Slice input = key;
-        input.remove_prefix(1);
-        uint32_t id = 0;
-        if (!GetVarint32(&input, &id)) {
-          status = Status::Corruption("bad dictionary key");
-          return false;
-        }
-        auto term = rdf::Term::Parse(value.ToStringView());
-        if (!term.ok()) {
-          status = term.status();
-          return false;
-        }
-        terms.emplace(id, *term);
-        return true;
-      }));
-  KB_RETURN_IF_ERROR(status);
-  rdf::Dictionary dict;
-  for (const auto& [id, term] : terms) {
-    if (dict.Intern(term) != id) {
-      return Status::Corruption("dictionary ids are not dense");
-    }
-  }
-  return dict;
 }
 
 }  // namespace core

@@ -6,7 +6,6 @@
 
 #include "core/knowledge_base.h"
 #include "storage/sharded_kv_store.h"
-#include "storage/stored_triple_source.h"
 
 namespace kb {
 namespace core {
@@ -14,14 +13,15 @@ namespace core {
 /// Durable storage for knowledge bases on the LSM engine. Layout in
 /// one KVStore keyspace:
 ///   'D' <varint term-id>          -> N-Triples term text
-///   'S'/'P'/'O' triple keys       -> fact metadata (or empty)
+///   'S' triple keys (SPO order)   -> fact metadata (or empty)
 ///   'X' <class-pair>              -> "" (taxonomy subclass edges)
 ///   'M' "next_term"               -> varint high-water term id
-/// Triples are stored in all three collation orders so a reopened KB
-/// can range-scan any access path straight off disk. The checkpointed
-/// harvest (core/harvest_checkpoint) stores its state under the
-/// reserved prefixes 'F' (accepted facts by statement identity) and
-/// 'C' (progress cursor) in the same keyspace.
+/// Triples are stored once, in SPO order: Load and ApplyInto rebuild
+/// the in-memory indexes from that one copy. Stores written before the
+/// 'P'/'O' copies were dropped still load; those keys are ignored. The
+/// checkpointed harvest (core/harvest_checkpoint) stores its state
+/// under the reserved prefixes 'F' (accepted facts by statement
+/// identity) and 'C' (progress cursor) in the same keyspace.
 ///
 /// Backed by a ShardedKVStore: keys hash-partition across independent
 /// LSM shards (parallel harvest writers land on disjoint locks/WALs)
@@ -69,20 +69,6 @@ class KbStorage {
   /// KbVolume to apply delta generations over a snapshot-booted KB;
   /// the caller rebuilds derived indexes afterwards.
   Status ApplyInto(KnowledgeBase* kb);
-
-  /// Loads only the term dictionary, preserving the on-disk term ids.
-  /// Pairs with NewTripleSource() to run queries straight off the LSM
-  /// store without materializing the whole KB in memory.
-  StatusOr<rdf::Dictionary> LoadDictionary();
-
-  /// A TripleSource scanning this storage's triple keyspace directly.
-  /// Term ids are the on-disk ids (use LoadDictionary for lookups).
-  /// The source must not outlive this KbStorage.
-  std::unique_ptr<storage::StoredTripleSource> NewTripleSource(
-      size_t batch_size = 256) {
-    return std::make_unique<storage::StoredTripleSource>(store_.get(),
-                                                         batch_size);
-  }
 
   /// Durability/compaction passthroughs.
   Status Flush() { return store_->Flush(); }

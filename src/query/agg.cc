@@ -9,18 +9,10 @@
 namespace kb {
 namespace query {
 
-size_t GroupAggregator::KeyHash::operator()(const Row& row) const {
+size_t RowHash::operator()(const Row& row) const {
   uint64_t h = 0x9e3779b97f4a7c15ULL;
   for (rdf::TermId id : row) h = HashCombine(h, Mix64(id));
   return static_cast<size_t>(h);
-}
-
-void GroupAggregator::Fold(Accum* accum, rdf::TermId agg_value) {
-  if (agg_.func == AggFunc::kCountDistinct && agg_.agg_slot >= 0) {
-    accum->distinct.insert(agg_value);
-  } else {
-    ++accum->count;
-  }
 }
 
 void GroupAggregator::Accumulate(const Row& row) {
@@ -28,21 +20,11 @@ void GroupAggregator::Accumulate(const Row& row) {
   for (size_t i = 0; i < agg_.group_slots.size(); ++i) {
     key_[i] = row[static_cast<size_t>(agg_.group_slots[i])];
   }
-  rdf::TermId agg_value =
-      agg_.agg_slot >= 0 ? row[static_cast<size_t>(agg_.agg_slot)] : 0;
-  Fold(&groups_[key_], agg_value);
-}
-
-void GroupAggregator::AccumulateColumns(
-    const std::vector<std::vector<rdf::TermId>>& cols, size_t rows) {
-  key_.resize(agg_.group_slots.size());
-  for (size_t r = 0; r < rows; ++r) {
-    for (size_t i = 0; i < agg_.group_slots.size(); ++i) {
-      key_[i] = cols[static_cast<size_t>(agg_.group_slots[i])][r];
-    }
-    rdf::TermId agg_value =
-        agg_.agg_slot >= 0 ? cols[static_cast<size_t>(agg_.agg_slot)][r] : 0;
-    Fold(&groups_[key_], agg_value);
+  Accum& accum = groups_[key_];
+  if (agg_.func == AggFunc::kCountDistinct && agg_.agg_slot >= 0) {
+    accum.distinct.insert(row[static_cast<size_t>(agg_.agg_slot)]);
+  } else {
+    ++accum.count;
   }
 }
 

@@ -11,11 +11,16 @@
 namespace kb {
 namespace query {
 
-/// Hash-based GROUP BY accumulator shared by the row-at-a-time
-/// HashAggregateOp and the batch executor. Group keys are bare id
-/// tuples (no term materialization — the executor stays id-native
-/// until the result boundary); values are row counts or distinct-id
-/// sets, per CompiledAgg::func.
+/// Hash of an id row (group keys here, DISTINCT rows in the executor).
+struct RowHash {
+  size_t operator()(const Row& row) const;
+};
+
+/// Hash-based GROUP BY accumulator behind the executor's
+/// HashAggregateOp. Group keys are bare id tuples (no term
+/// materialization — the executor stays id-native until the result
+/// boundary); values are row counts or distinct-id sets, per
+/// CompiledAgg::func.
 ///
 /// Finish() emits [group values..., count] rows. With top_k > 0 only
 /// the k largest groups survive, selected with a bounded min-heap in
@@ -27,11 +32,6 @@ class GroupAggregator {
 
   /// Folds one full-width executor row into its group.
   void Accumulate(const Row& row);
-
-  /// Column-major variant: folds `rows` rows of a batch whose columns
-  /// are `cols` (only the group and agg columns are touched).
-  void AccumulateColumns(const std::vector<std::vector<rdf::TermId>>& cols,
-                         size_t rows);
 
   /// Groups materialized so far.
   size_t num_groups() const { return groups_.size(); }
@@ -49,15 +49,10 @@ class GroupAggregator {
     uint64_t count = 0;
     std::unordered_set<rdf::TermId> distinct;
   };
-  struct KeyHash {
-    size_t operator()(const Row& row) const;
-  };
-
-  void Fold(Accum* accum, rdf::TermId agg_value);
 
   CompiledAgg agg_;
   Row key_;  ///< scratch group key, reused across rows
-  std::unordered_map<Row, Accum, KeyHash> groups_;
+  std::unordered_map<Row, Accum, RowHash> groups_;
 };
 
 }  // namespace query

@@ -1,14 +1,9 @@
 #include "query/engine.h"
 
-#include <algorithm>
-#include <set>
 #include <unordered_set>
 
 #include "query/agg.h"
-#include "query/batch_exec.h"
-#include "query/exec_internal.h"
 #include "rdf/term.h"
-#include "util/hash.h"
 #include "util/metrics_registry.h"
 #include "util/string_util.h"
 
@@ -63,18 +58,50 @@ namespace {
 
 using Operator = Cursor::Operator;
 
-/// The materialize_terms ablation body: copies all three Terms out of
-/// the dictionary (string heap traffic and all) and keeps a byte count
-/// the optimizer cannot discard.
-inline void MaterializeTriple(const rdf::Dictionary* dict,
-                              const rdf::Triple& t, QueryStats* stats) {
-  rdf::Term s = dict->term(t.s);
-  rdf::Term p = dict->term(t.p);
-  rdf::Term o = dict->term(t.o);
-  stats->terms_materialized += 3;
-  volatile size_t sink =
-      s.value().size() + p.value().size() + o.value().size();
-  (void)sink;
+/// Scan pattern for one join level: constants and probe slots resolved
+/// against the current row; freshly bound and checked positions stay
+/// wild.
+rdf::TriplePattern ScanPattern(const CompiledScan& scan, const Row& row) {
+  rdf::TriplePattern pattern;
+  rdf::TermId* out[3] = {&pattern.s, &pattern.p, &pattern.o};
+  const Access* accesses[3] = {&scan.s, &scan.p, &scan.o};
+  for (int i = 0; i < 3; ++i) {
+    switch (accesses[i]->kind) {
+      case Access::Kind::kConst:
+        *out[i] = accesses[i]->constant;
+        break;
+      case Access::Kind::kProbe:
+        *out[i] = row[static_cast<size_t>(accesses[i]->slot)];
+        break;
+      default:
+        break;  // kBind/kCheck stay wild
+    }
+  }
+  return pattern;
+}
+
+/// Applies one matched triple to the row: binds fresh slots, verifies
+/// constants, probes and repeated variables. Returns false if the
+/// triple does not extend the row.
+bool BindRow(const CompiledScan& scan, const rdf::Triple& t, Row* row) {
+  const Access* accesses[3] = {&scan.s, &scan.p, &scan.o};
+  const rdf::TermId values[3] = {t.s, t.p, t.o};
+  for (int i = 0; i < 3; ++i) {
+    const Access& a = *accesses[i];
+    switch (a.kind) {
+      case Access::Kind::kConst:
+        if (values[i] != a.constant) return false;
+        break;
+      case Access::Kind::kProbe:
+      case Access::Kind::kCheck:
+        if ((*row)[static_cast<size_t>(a.slot)] != values[i]) return false;
+        break;
+      case Access::Kind::kBind:
+        (*row)[static_cast<size_t>(a.slot)] = values[i];
+        break;
+    }
+  }
+  return true;
 }
 
 /// Zero rows (unmatchable constants).
@@ -103,21 +130,17 @@ class OnceOp : public Operator {
 class IndexScanOp : public Operator {
  public:
   IndexScanOp(const rdf::TripleSource* source, const CompiledScan& scan,
-              size_t width, bool use_indexes,
-              const rdf::Dictionary* materialize, QueryStats* stats,
-              Cursor::CancelState* cancel)
+              size_t width, QueryStats* stats, Cursor::CancelState* cancel)
       : source_(source),
         scan_(scan),
         width_(width),
-        use_indexes_(use_indexes),
-        materialize_(materialize),
         stats_(stats),
         cancel_(cancel) {}
 
   bool Next(Row* row) override {
     if (iter_ == nullptr) {
       static const Row kNoRow;
-      iter_ = source_->NewScan(ScanPattern(scan_, kNoRow, use_indexes_));
+      iter_ = source_->NewScan(ScanPattern(scan_, kNoRow));
       ++stats_->index_scans;
       ++stats_->patterns_evaluated;
     }
@@ -125,7 +148,6 @@ class IndexScanOp : public Operator {
       if (cancel_->Expired()) return false;
       const rdf::Triple& t = iter_->Value();
       ++stats_->intermediate_rows;
-      if (materialize_ != nullptr) MaterializeTriple(materialize_, t, stats_);
       row->assign(width_, rdf::kAnyTerm);
       bool ok = BindRow(scan_, t, row);
       iter_->Next();
@@ -138,8 +160,6 @@ class IndexScanOp : public Operator {
   const rdf::TripleSource* source_;
   CompiledScan scan_;
   size_t width_;
-  bool use_indexes_;
-  const rdf::Dictionary* materialize_;
   QueryStats* stats_;
   Cursor::CancelState* cancel_;
   std::unique_ptr<rdf::ScanIterator> iter_;
@@ -151,14 +171,11 @@ class IndexNestedLoopJoinOp : public Operator {
  public:
   IndexNestedLoopJoinOp(std::unique_ptr<Operator> child,
                         const rdf::TripleSource* source,
-                        const CompiledScan& scan, bool use_indexes,
-                        const rdf::Dictionary* materialize, QueryStats* stats,
+                        const CompiledScan& scan, QueryStats* stats,
                         Cursor::CancelState* cancel)
       : child_(std::move(child)),
         source_(source),
         scan_(scan),
-        use_indexes_(use_indexes),
-        materialize_(materialize),
         stats_(stats),
         cancel_(cancel) {}
 
@@ -169,9 +186,6 @@ class IndexNestedLoopJoinOp : public Operator {
           if (cancel_->Expired()) return false;
           const rdf::Triple& t = iter_->Value();
           ++stats_->intermediate_rows;
-          if (materialize_ != nullptr) {
-            MaterializeTriple(materialize_, t, stats_);
-          }
           *row = outer_;
           bool ok = BindRow(scan_, t, row);
           iter_->Next();
@@ -180,7 +194,7 @@ class IndexNestedLoopJoinOp : public Operator {
         iter_.reset();
       }
       if (!child_->Next(&outer_)) return false;
-      iter_ = source_->NewScan(ScanPattern(scan_, outer_, use_indexes_));
+      iter_ = source_->NewScan(ScanPattern(scan_, outer_));
       ++stats_->index_scans;
       ++stats_->patterns_evaluated;
     }
@@ -190,8 +204,6 @@ class IndexNestedLoopJoinOp : public Operator {
   std::unique_ptr<Operator> child_;
   const rdf::TripleSource* source_;
   CompiledScan scan_;
-  bool use_indexes_;
-  const rdf::Dictionary* materialize_;
   QueryStats* stats_;
   Cursor::CancelState* cancel_;
   Row outer_;
@@ -320,10 +332,10 @@ Cursor::Cursor(PlanPtr plan,
       snapshot_(std::move(snapshot)),
       cancel_(std::make_unique<CancelState>()),
       stats_(std::make_unique<QueryStats>()),
-      max_rows_(options.exec.max_rows) {
-  if (options.exec.has_deadline()) {
+      max_rows_(options.max_rows) {
+  if (options.has_deadline()) {
     cancel_->armed = true;
-    cancel_->deadline = options.exec.deadline;
+    cancel_->deadline = options.deadline;
   }
   const rdf::TripleSource* src =
       snapshot_ != nullptr ? snapshot_.get() : source;
@@ -334,12 +346,11 @@ Cursor::Cursor(PlanPtr plan,
     op = std::make_unique<OnceOp>(plan_->var_names.size());
   } else {
     op = std::make_unique<IndexScanOp>(
-        src, plan_->scans[0], plan_->var_names.size(), options.use_indexes,
-        options.materialize_terms, stats_.get(), cancel_.get());
+        src, plan_->scans[0], plan_->var_names.size(), stats_.get(),
+        cancel_.get());
     for (size_t i = 1; i < plan_->scans.size(); ++i) {
       op = std::make_unique<IndexNestedLoopJoinOp>(
-          std::move(op), src, plan_->scans[i], options.use_indexes,
-          options.materialize_terms, stats_.get(), cancel_.get());
+          std::move(op), src, plan_->scans[i], stats_.get(), cancel_.get());
     }
   }
   if (plan_->agg.enabled) {
@@ -407,21 +418,17 @@ Binding Cursor::ToBinding(const Row& row) const {
 // ------------------------------------------------------- QueryEngine
 
 PlanPtr QueryEngine::GetPlan(const SelectQuery& query,
-                             const ExecutionOptions& options,
                              bool* cache_hit) const {
   *cache_hit = false;
   QueryMetrics& metrics = QueryMetrics::Get();
-  if (!options.use_plan_cache) {
-    return CompilePlan(query, *source_, options.reorder_patterns);
-  }
-  std::string key = PlanCacheKey(query, options.reorder_patterns);
+  std::string key = PlanCacheKey(query);
   if (PlanPtr plan = cache_->Lookup(key); plan != nullptr) {
     metrics.plan_cache_hits.Increment();
     *cache_hit = true;
     return plan;
   }
   metrics.plan_cache_misses.Increment();
-  PlanPtr plan = CompilePlan(query, *source_, options.reorder_patterns);
+  PlanPtr plan = CompilePlan(query, *source_);
   cache_->Insert(key, plan);
   return plan;
 }
@@ -430,10 +437,9 @@ Cursor QueryEngine::Open(const SelectQuery& query,
                          const ExecutionOptions& options) const {
   QueryMetrics::Get().executions.Increment();
   bool cache_hit = false;
-  PlanPtr plan = GetPlan(query, options, &cache_hit);
-  size_t limit = options.pushdown_limit ? query.limit : 0;
+  PlanPtr plan = GetPlan(query, &cache_hit);
   Cursor cursor(std::move(plan), source_->SnapshotSource(), source_, options,
-                limit, query.agg.top_k);
+                query.limit, query.agg.top_k);
   cursor.stats_->plan_cache_hit = cache_hit;
   return cursor;
 }
@@ -441,199 +447,14 @@ Cursor QueryEngine::Open(const SelectQuery& query,
 std::vector<Binding> QueryEngine::Execute(const SelectQuery& query,
                                           const ExecutionOptions& options,
                                           QueryStats* stats) const {
-  // Aggregates only exist in the streaming/batch executors; the legacy
-  // materializing ablation predates them and would return raw rows.
-  if (!options.streaming && !query.agg.enabled()) {
-    return ExecuteMaterialized(query, options, stats);
-  }
-  if (options.batch_size > 0) return ExecuteBatched(query, options, stats);
   QueryMetrics& metrics = QueryMetrics::Get();
   ScopedTimer timer(metrics.execute_ms);
   Cursor cursor = Open(query, options);
   std::vector<Binding> results;
   Row row;
   while (cursor.Next(&row)) results.push_back(cursor.ToBinding(row));
-  if (!options.pushdown_limit && query.limit != 0 &&
-      results.size() > query.limit) {
-    results.resize(query.limit);
-  }
   if (stats != nullptr) *stats = cursor.stats();
   metrics.rows.Increment(results.size());
-  return results;
-}
-
-/// The vector-at-a-time mode: same plan (and plan cache), different
-/// executor (query/batch_exec.h).
-std::vector<Binding> QueryEngine::ExecuteBatched(
-    const SelectQuery& query, const ExecutionOptions& options,
-    QueryStats* stats) const {
-  QueryMetrics& metrics = QueryMetrics::Get();
-  metrics.executions.Increment();
-  ScopedTimer timer(metrics.execute_ms);
-  bool cache_hit = false;
-  PlanPtr plan = GetPlan(query, options, &cache_hit);
-  std::shared_ptr<const rdf::TripleSource> snapshot =
-      source_->SnapshotSource();
-  const rdf::TripleSource* src =
-      snapshot != nullptr ? snapshot.get() : source_;
-  QueryStats local;
-  local.plan_cache_hit = cache_hit;
-  std::vector<Row> rows = ExecuteBatch(*plan, query, *src, options, &local);
-  if (!options.pushdown_limit && query.limit != 0 &&
-      rows.size() > query.limit) {
-    rows.resize(query.limit);
-  }
-  std::vector<Binding> results;
-  results.reserve(rows.size());
-  for (const Row& row : rows) {
-    Binding binding;
-    for (size_t i = 0;
-         i < plan->projection_names.size() && i < row.size(); ++i) {
-      binding[plan->projection_names[i]] = row[i];
-    }
-    results.push_back(std::move(binding));
-  }
-  metrics.rows.Increment(results.size());
-  metrics.rows_streamed.Increment(local.rows_streamed);
-  metrics.patterns_evaluated.Increment(local.patterns_evaluated);
-  metrics.index_scans.Increment(local.index_scans);
-  if (local.agg_groups > 0) metrics.agg_groups.Increment(local.agg_groups);
-  BatchMetricsFlush(local);
-  if (stats != nullptr) *stats = local;
-  return results;
-}
-
-// The pre-iterator executor, kept as the materializing ablation (and
-// the property-test foil): index nested-loop joins with dynamic
-// greedy reordering, but every intermediate result built as a
-// std::map binding and the full result set enumerated regardless of
-// LIMIT (truncation happens at the end).
-std::vector<Binding> QueryEngine::ExecuteMaterialized(
-    const SelectQuery& query, const ExecutionOptions& options,
-    QueryStats* stats) const {
-  QueryMetrics& metrics = QueryMetrics::Get();
-  metrics.executions.Increment();
-  ScopedTimer timer(metrics.execute_ms);
-  std::shared_ptr<const rdf::TripleSource> snapshot =
-      source_->SnapshotSource();
-  const rdf::TripleSource* src =
-      snapshot != nullptr ? snapshot.get() : source_;
-
-  auto resolve = [](const QueryTerm& term, const Binding& binding,
-                    bool* unmatchable) {
-    if (!term.is_var) {
-      if (term.id == rdf::kInvalidTermId) *unmatchable = true;
-      return term.id == rdf::kInvalidTermId ? rdf::kAnyTerm : term.id;
-    }
-    auto it = binding.find(term.var);
-    return it == binding.end() ? rdf::kAnyTerm : it->second;
-  };
-  auto make_pattern = [&resolve](const QueryPattern& qp,
-                                 const Binding& binding, bool* unmatchable) {
-    rdf::TriplePattern pattern;
-    pattern.s = resolve(qp.s, binding, unmatchable);
-    pattern.p = resolve(qp.p, binding, unmatchable);
-    pattern.o = resolve(qp.o, binding, unmatchable);
-    return pattern;
-  };
-  auto bound_positions = [](const rdf::TriplePattern& p) {
-    return (p.s != rdf::kAnyTerm) + (p.p != rdf::kAnyTerm) +
-           (p.o != rdf::kAnyTerm);
-  };
-
-  std::vector<Binding> results;
-  std::vector<bool> used(query.where.size(), false);
-  Binding binding;
-  QueryStats local_stats;
-  std::set<Binding> seen;  // for DISTINCT
-
-  std::function<void(size_t)> recurse = [&](size_t depth) {
-    if (depth == query.where.size()) {
-      Binding row;
-      if (query.projection.empty()) {
-        row = binding;
-      } else {
-        for (const std::string& var : query.projection) {
-          auto it = binding.find(var);
-          if (it != binding.end()) row[var] = it->second;
-        }
-      }
-      if (query.distinct && !seen.insert(row).second) return;
-      results.push_back(std::move(row));
-      return;
-    }
-    size_t chosen = query.where.size();
-    if (options.reorder_patterns) {
-      int best_bound = -1;
-      size_t best_count = SIZE_MAX;
-      for (size_t i = 0; i < query.where.size(); ++i) {
-        if (used[i]) continue;
-        bool unmatchable = false;
-        rdf::TriplePattern pattern =
-            make_pattern(query.where[i], binding, &unmatchable);
-        if (unmatchable) {
-          chosen = i;  // will immediately produce zero rows
-          break;
-        }
-        int bound = bound_positions(pattern);
-        if (bound > best_bound) {
-          best_bound = bound;
-          best_count = src->EstimateCount(pattern);
-          chosen = i;
-        } else if (bound == best_bound) {
-          size_t count = src->EstimateCount(pattern);
-          if (count < best_count) {
-            best_count = count;
-            chosen = i;
-          }
-        }
-      }
-    } else {
-      for (size_t i = 0; i < query.where.size(); ++i) {
-        if (!used[i]) {
-          chosen = i;
-          break;
-        }
-      }
-    }
-    if (chosen >= query.where.size()) return;
-    used[chosen] = true;
-    const QueryPattern& qp = query.where[chosen];
-    bool unmatchable = false;
-    rdf::TriplePattern pattern = make_pattern(qp, binding, &unmatchable);
-    ++local_stats.patterns_evaluated;
-    if (!unmatchable) {
-      ++local_stats.index_scans;
-      rdf::TriplePattern scan_pattern =
-          options.use_indexes ? pattern : rdf::TriplePattern();
-      src->Scan(scan_pattern, [&](const rdf::Triple& t) {
-        if (!pattern.Matches(t)) return true;
-        Binding saved = binding;
-        auto bind = [&](const QueryTerm& term, rdf::TermId value) {
-          if (!term.is_var) return true;
-          auto it = binding.find(term.var);
-          if (it != binding.end()) return it->second == value;
-          binding[term.var] = value;
-          return true;
-        };
-        ++local_stats.intermediate_rows;
-        if (bind(qp.s, t.s) && bind(qp.p, t.p) && bind(qp.o, t.o)) {
-          recurse(depth + 1);
-        }
-        binding = std::move(saved);
-        return true;
-      });
-    }
-    used[chosen] = false;
-  };
-  recurse(0);
-  if (query.limit != 0 && results.size() > query.limit) {
-    results.resize(query.limit);
-  }
-  if (stats != nullptr) *stats = local_stats;
-  metrics.rows.Increment(results.size());
-  metrics.patterns_evaluated.Increment(local_stats.patterns_evaluated);
-  metrics.index_scans.Increment(local_stats.index_scans);
   return results;
 }
 

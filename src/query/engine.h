@@ -15,8 +15,8 @@ namespace kb {
 namespace query {
 
 /// A result row: variable name -> term id. (Materializing API; the
-/// streaming executor works on slot-indexed flat rows and converts at
-/// the boundary.)
+/// executor works on slot-indexed flat rows and converts at the
+/// boundary.)
 using Binding = std::map<std::string, rdf::TermId>;
 
 /// A slot-indexed flat binding row, the executor's native currency:
@@ -30,7 +30,7 @@ using Row = std::vector<rdf::TermId>;
 /// trips, the cursor ends its stream and flags QueryStats, so callers
 /// can distinguish "exhausted" from "cut off" (and e.g. refuse to serve
 /// or cache a truncated result).
-struct ExecOptions {
+struct ExecutionOptions {
   /// Absolute give-up point; time_point{} (the epoch) = no deadline.
   std::chrono::steady_clock::time_point deadline{};
   /// Stop after this many produced rows; 0 = unlimited. Unlike LIMIT
@@ -43,56 +43,19 @@ struct ExecOptions {
   }
 };
 
-/// Executor knobs (E10 ablations).
-struct ExecutionOptions {
-  bool reorder_patterns = true;  ///< greedy selectivity-based join order
-  bool use_indexes = true;       ///< false = full scan per pattern
-  bool streaming = true;         ///< false = legacy materializing executor
-  bool use_plan_cache = true;    ///< false = replan every execution
-  /// false = drain the full result, then truncate (LIMIT ablation: no
-  /// early termination). Streaming executor only.
-  bool pushdown_limit = true;
-  /// Serving limits (deadline + row cap). Streaming executor only; the
-  /// materializing ablation ignores them.
-  ExecOptions exec;
-  /// Vector-at-a-time execution (E19 ablation): when > 0, Execute runs
-  /// the plan through the batch executor — scans fill id-column chunks
-  /// of this many rows, join levels probe a chunk at a time, and
-  /// selective join levels get a Bloom-filter semijoin prefilter built
-  /// from the smaller side (query/batch_exec.h). 0 = the Volcano
-  /// row-at-a-time pipeline. Plans (and the plan cache) are shared
-  /// between both modes.
-  size_t batch_size = 0;
-  /// E17 ablation: when set, the scan/join operators materialize all
-  /// three Terms of every visited triple through this dictionary — the
-  /// pre-frame-store term-object path, heap churn included. Unset, the
-  /// executor joins on bare uint32 ids and terms are only materialized
-  /// at the result boundary. Counted in QueryStats::terms_materialized.
-  /// Streaming executor only; must outlive the execution.
-  const rdf::Dictionary* materialize_terms = nullptr;
-};
-
 /// Execution counters.
 struct QueryStats {
   uint64_t patterns_evaluated = 0;  ///< index scans opened
   uint64_t intermediate_rows = 0;   ///< triples visited across all levels
   uint64_t index_scans = 0;
   uint64_t rows_streamed = 0;  ///< rows the root operator produced
-  /// Terms pulled off the heap by the materialize_terms ablation.
-  uint64_t terms_materialized = 0;
   /// Groups the hash aggregator materialized (aggregate queries only).
   uint64_t agg_groups = 0;
-  /// Id-column chunks the batch executor filled (batch mode only).
-  uint64_t batches = 0;
-  /// Bloom-semijoin prefilter probes / passes (batch mode only). A
-  /// probe that misses skips the index lookup for that outer row.
-  uint64_t bloom_probes = 0;
-  uint64_t bloom_hits = 0;
   bool plan_cache_hit = false;
-  /// The ExecOptions deadline expired before the stream was exhausted:
-  /// whatever rows were produced are a prefix, not the full result.
+  /// The deadline expired before the stream was exhausted: whatever
+  /// rows were produced are a prefix, not the full result.
   bool deadline_exceeded = false;
-  /// The ExecOptions row cap stopped the stream.
+  /// The row cap stopped the stream.
   bool max_rows_hit = false;
 };
 
@@ -106,12 +69,11 @@ class Cursor {
   class Operator;  ///< defined in engine.cc
 
   /// Shared cooperative-cancellation state for one execution. The scan
-  /// and join operators (row and batch mode) poll Expired() from their
-  /// inner loops, so a deadline cuts off even executions that churn
-  /// through intermediate triples without ever surfacing a row. The
-  /// clock is only consulted every kCheckStride polls (a steady_clock
-  /// read per triple would dominate scan cost); once expired, the
-  /// state latches.
+  /// and join operators poll Expired() from their inner loops, so a
+  /// deadline cuts off even executions that churn through intermediate
+  /// triples without ever surfacing a row. The clock is only consulted
+  /// every kCheckStride polls (a steady_clock read per triple would
+  /// dominate scan cost); once expired, the state latches.
   struct CancelState {
     static constexpr uint32_t kCheckStride = 256;
 
@@ -159,15 +121,14 @@ class Cursor {
   std::unique_ptr<CancelState> cancel_;
   std::unique_ptr<Operator> root_;
   std::unique_ptr<QueryStats> stats_;
-  size_t max_rows_ = 0;  ///< ExecOptions row cap (0 = unlimited)
+  size_t max_rows_ = 0;  ///< row cap (0 = unlimited)
   bool flushed_metrics_ = false;
 };
 
 /// Compiles SelectQuerys into streaming operator pipelines over any
-/// TripleSource (in-memory TripleStore, one of its snapshots, or the
-/// LSM-backed storage::StoredTripleSource) with index nested-loop
-/// joins, greedy selectivity-based join ordering and an LRU plan
-/// cache.
+/// TripleSource (in-memory TripleStore, one of its snapshots, or a
+/// mapped FrameStore) with index nested-loop joins, greedy
+/// selectivity-based join ordering and an LRU plan cache.
 class QueryEngine {
  public:
   /// `cache` (optional) shares compiled plans across engines over the
@@ -187,14 +148,7 @@ class QueryEngine {
               const ExecutionOptions& options = {}) const;
 
  private:
-  PlanPtr GetPlan(const SelectQuery& query, const ExecutionOptions& options,
-                  bool* cache_hit) const;
-  std::vector<Binding> ExecuteMaterialized(const SelectQuery& query,
-                                           const ExecutionOptions& options,
-                                           QueryStats* stats) const;
-  std::vector<Binding> ExecuteBatched(const SelectQuery& query,
-                                      const ExecutionOptions& options,
-                                      QueryStats* stats) const;
+  PlanPtr GetPlan(const SelectQuery& query, bool* cache_hit) const;
 
   const rdf::TripleSource* source_;
   PlanCache* cache_;

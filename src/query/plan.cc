@@ -42,8 +42,8 @@ void AppendTermKey(const QueryTerm& t, std::string* key) {
 
 }  // namespace
 
-PlanPtr CompilePlan(const SelectQuery& query, const rdf::TripleSource& source,
-                    bool reorder_patterns) {
+PlanPtr CompilePlan(const SelectQuery& query,
+                    const rdf::TripleSource& source) {
   auto plan = std::make_shared<CompiledPlan>();
   plan->distinct = query.distinct;
 
@@ -112,30 +112,20 @@ PlanPtr CompilePlan(const SelectQuery& query, const rdf::TripleSource& source,
   std::map<std::string, int> bound;
   for (size_t step = 0; step < query.where.size(); ++step) {
     size_t chosen = query.where.size();
-    if (reorder_patterns) {
-      int best_bound = -1;
-      size_t best_count = SIZE_MAX;
-      for (size_t i = 0; i < query.where.size(); ++i) {
-        if (used[i]) continue;
-        int b = StaticallyBound(query.where[i], bound);
-        if (b > best_bound) {
-          best_bound = b;
-          best_count = source.EstimateCount(ConstantPattern(query.where[i]));
+    int best_bound = -1;
+    size_t best_count = SIZE_MAX;
+    for (size_t i = 0; i < query.where.size(); ++i) {
+      if (used[i]) continue;
+      int b = StaticallyBound(query.where[i], bound);
+      if (b > best_bound) {
+        best_bound = b;
+        best_count = source.EstimateCount(ConstantPattern(query.where[i]));
+        chosen = i;
+      } else if (b == best_bound) {
+        size_t count = source.EstimateCount(ConstantPattern(query.where[i]));
+        if (count < best_count) {
+          best_count = count;
           chosen = i;
-        } else if (b == best_bound) {
-          size_t count =
-              source.EstimateCount(ConstantPattern(query.where[i]));
-          if (count < best_count) {
-            best_count = count;
-            chosen = i;
-          }
-        }
-      }
-    } else {
-      for (size_t i = 0; i < query.where.size(); ++i) {
-        if (!used[i]) {
-          chosen = i;
-          break;
         }
       }
     }
@@ -180,10 +170,9 @@ PlanPtr CompilePlan(const SelectQuery& query, const rdf::TripleSource& source,
   return plan;
 }
 
-std::string PlanCacheKey(const SelectQuery& query, bool reorder_patterns) {
+std::string PlanCacheKey(const SelectQuery& query) {
   std::string key;
   key.reserve(64);
-  key.push_back(reorder_patterns ? 'R' : 'r');
   key.push_back(query.distinct ? 'D' : 'd');
   key.push_back('|');
   for (const std::string& var : query.projection) {

@@ -124,17 +124,16 @@ struct CompiledPlan {
 
 using PlanPtr = std::shared_ptr<const CompiledPlan>;
 
-/// Compiles `query` into a left-deep index-nested-loop pipeline.
-/// With `reorder_patterns`, join order is chosen greedily: most
-/// statically bound positions first, ties broken by the source's
-/// cardinality estimate for the constant-bound pattern.
-PlanPtr CompilePlan(const SelectQuery& query, const rdf::TripleSource& source,
-                    bool reorder_patterns);
+/// Compiles `query` into a left-deep index-nested-loop pipeline. Join
+/// order is chosen greedily: most statically bound positions first,
+/// ties broken by the source's cardinality estimate for the
+/// constant-bound pattern.
+PlanPtr CompilePlan(const SelectQuery& query, const rdf::TripleSource& source);
 
 /// Cache key capturing the query shape (patterns with variable names
-/// and constant ids, projection, DISTINCT) and the planner knobs —
-/// everything that affects the compiled plan except LIMIT.
-std::string PlanCacheKey(const SelectQuery& query, bool reorder_patterns);
+/// and constant ids, projection, DISTINCT, aggregation) — everything
+/// that affects the compiled plan except LIMIT.
+std::string PlanCacheKey(const SelectQuery& query);
 
 /// Thread-safe LRU cache of compiled plans, so repeated query shapes
 /// (the common case for a serving workload) skip planning entirely.

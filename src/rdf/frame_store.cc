@@ -629,24 +629,6 @@ std::vector<Triple> FrameStore::MatchFullScan(
   return out;
 }
 
-std::vector<Triple> FrameStore::MatchTermObjects(const Term* s, const Term* p,
-                                                 const Term* o) const {
-  std::vector<Triple> out;
-  for (size_t i = 0; i < num_triples_; ++i) {
-    Triple t = TripleAt(ScanOrder::kSpo, i);
-    // Deliberately materializes three heap Terms per visited triple —
-    // this is the pre-frame-store cost model the E17 ablation measures.
-    Term ts = MaterializeTerm(t.s);
-    Term tp = MaterializeTerm(t.p);
-    Term to = MaterializeTerm(t.o);
-    if ((s == nullptr || ts == *s) && (p == nullptr || tp == *p) &&
-        (o == nullptr || to == *o)) {
-      out.push_back(t);
-    }
-  }
-  return out;
-}
-
 bool FrameStore::section(uint32_t id, std::string_view* out) const {
   auto it = sections_.find(id);
   if (it == sections_.end()) return false;

@@ -143,13 +143,6 @@ class FrameStore : public TripleSource,
   /// Materializing full-pattern match (parity with TripleStore).
   std::vector<Triple> MatchFullScan(const TriplePattern& pattern) const;
 
-  /// E17 ablation — the pre-frame-store "term-object path": visits the
-  /// SPO run, materializes all three Terms of every visited triple and
-  /// matches them as term objects (heap churn and all). Result set is
-  /// identical to MatchFullScan on the id pattern for the same terms.
-  std::vector<Triple> MatchTermObjects(const Term* s, const Term* p,
-                                       const Term* o) const;
-
   /// Raw bytes of a payload section, or empty view + false if the
   /// snapshot has no such section.
   bool section(uint32_t id, std::string_view* out) const;

@@ -99,9 +99,8 @@ class MergeScanIterator : public ScanIterator {
 };
 
 /// Anything the query executor can scan: the in-memory TripleStore, an
-/// immutable store snapshot, or the LSM-backed StoredTripleSource.
-/// One SelectQuery compiles to the same operator tree over any of
-/// them.
+/// immutable store snapshot, or a mapped FrameStore. One SelectQuery
+/// compiles to the same operator tree over any of them.
 class TripleSource {
  public:
   virtual ~TripleSource() = default;

@@ -59,8 +59,8 @@ class Router {
     size_t queue_depth = 32;
     int io_threads = 2;              ///< epoll I/O threads (front door)
     int backlog = 0;                 ///< listen(2) backlog; <= 0 = SOMAXCONN
-    /// Open-connection cap; 0 derives num_workers + queue_depth (the
-    /// old thread-per-connection envelope).
+    /// Open-connection cap; 0 derives num_workers + queue_depth (every
+    /// worker busy plus a full queue).
     size_t max_connections = 0;
     double idle_timeout_ms = 0;      ///< idle client reaping; 0 = never
     size_t max_pipeline = 128;       ///< per-connection pipelining cap

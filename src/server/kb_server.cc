@@ -1,15 +1,5 @@
 #include "server/kb_server.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <string.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <exception>
 
@@ -72,7 +62,6 @@ struct KbServer::Metrics {
   Counter& pipelined_frames;
   Counter& idle_closed;
   Gauge& queue_depth;
-  Gauge& active_connections;
   Gauge& open_connections;
   Histogram& request_ms;
   Histogram& query_ms;
@@ -94,7 +83,6 @@ struct KbServer::Metrics {
           r.counter("server.pipelined_frames"),
           r.counter("server.idle_closed"),
           r.gauge("server.queue_depth"),
-          r.gauge("server.active_connections"),
           r.gauge("server.open_connections"),
           r.histogram("server.request_ms"),
           r.histogram("server.query_ms"),
@@ -114,17 +102,12 @@ KbServer::KbServer(core::KnowledgeBase* kb, const Options& options)
 KbServer::~KbServer() { Stop(); }
 
 Status KbServer::Start() {
-  return options_.threaded_core ? StartThreaded() : StartEvent();
-}
-
-Status KbServer::StartEvent() {
   EventServerOptions ev;
   ev.port = options_.port;
   ev.io_threads = options_.io_threads;
   ev.backlog = options_.backlog;
-  // Default cap = the envelope the threaded core could hold (every
-  // worker busy + a full queue), so default shedding is unchanged:
-  // the N+Q+1'th concurrent connection is refused with the retry hint.
+  // Default cap = every worker busy + a full queue: the N+Q+1'th
+  // concurrent connection is refused with the retry hint.
   size_t workers =
       static_cast<size_t>(options_.num_workers > 0 ? options_.num_workers : 1);
   ev.max_connections = options_.max_connections > 0
@@ -207,8 +190,7 @@ void KbServer::EventWorkerLoop() {
       reqs_.pop_front();
       metrics_->queue_depth.Set(static_cast<int64_t>(reqs_.size()));
     }
-    std::string response;
-    HandleFrame(work.payload, &response);
+    std::string response = HandleFrame(work.payload);
     bool close_after;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -218,59 +200,6 @@ void KbServer::EventWorkerLoop() {
     }
     work.conn->Complete(work.seq, std::move(response), close_after);
   }
-}
-
-Status KbServer::StartThreaded() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError("socket: " + std::string(::strerror(errno)));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) < 0) {
-    Status s = Status::IOError("bind: " + std::string(::strerror(errno)));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  if (::listen(listen_fd_,
-               options_.backlog > 0 ? options_.backlog : SOMAXCONN) < 0) {
-    Status s = Status::IOError("listen: " + std::string(::strerror(errno)));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-
-  if (::pipe(wake_pipe_) < 0) {
-    Status s = Status::IOError("pipe: " + std::string(::strerror(errno)));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-
-  started_at_ = std::chrono::steady_clock::now();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    started_ = true;
-    stopping_ = false;
-    draining_ = false;
-  }
-  acceptor_ = std::thread([this] { AcceptLoop(); });
-  int workers = options_.num_workers > 0 ? options_.num_workers : 1;
-  workers_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-  return Status::OK();
 }
 
 void KbServer::Stop() {
@@ -283,55 +212,17 @@ void KbServer::Stop() {
     stopping_ = true;
   }
   work_cv_.notify_all();
-  if (!options_.threaded_core) {
-    // Order matters: joining the I/O threads first means any late
-    // worker Complete() is dropped at the loop's post gate instead of
-    // racing a dying epoll set.
-    if (event_server_) event_server_->Stop();
-    for (std::thread& worker : workers_) {
-      if (worker.joinable()) worker.join();
-    }
-    workers_.clear();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      reqs_.clear();
-      metrics_->queue_depth.Set(0);
-    }
-    return;
-  }
-  // Wake the acceptor's poll(), then unblock every worker parked in a
-  // read on a live connection.
-  if (wake_pipe_[1] >= 0) {
-    char byte = 0;
-    [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &byte, 1);
-  }
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int fd : active_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  if (acceptor_.joinable()) acceptor_.join();
+  // Order matters: joining the I/O threads first means any late worker
+  // Complete() is dropped at the loop's post gate instead of racing a
+  // dying epoll set.
+  if (event_server_) event_server_->Stop();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
-  // Connections that were admitted but never picked up.
-  std::deque<int> orphans;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    orphans.swap(pending_);
-    metrics_->queue_depth.Set(0);
-  }
-  for (int fd : orphans) UnregisterAndClose(fd);
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  for (int i = 0; i < 2; ++i) {
-    if (wake_pipe_[i] >= 0) {
-      ::close(wake_pipe_[i]);
-      wake_pipe_[i] = -1;
-    }
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  reqs_.clear();
+  metrics_->queue_depth.Set(0);
 }
 
 void KbServer::Drain(double timeout_ms) {
@@ -348,33 +239,12 @@ void KbServer::Drain(double timeout_ms) {
   auto deadline = std::chrono::steady_clock::now() +
                   std::chrono::duration<double, std::milli>(
                       timeout_ms > 0 ? timeout_ms : 0);
-  if (!options_.threaded_core) {
-    event_server_->SetDraining(true);
-    while (event_server_->open_connections() > 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    Stop();
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lock(conn_mu_);
-    conn_cv_.wait_until(lock, deadline, [this] {
-      return active_fds_.empty();
-    });
+  event_server_->SetDraining(true);
+  while (event_server_->open_connections() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   Stop();
-}
-
-void KbServer::RegisterConnection(int fd) {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  active_fds_.insert(fd);
-}
-
-void KbServer::UnregisterAndClose(int fd) {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  if (active_fds_.erase(fd) > 0) ::close(fd);
-  conn_cv_.notify_all();
 }
 
 void KbServer::WithWriteLock(const std::function<void()>& fn) {
@@ -387,114 +257,21 @@ uint64_t KbServer::applied_epoch() const {
                                    : kb_->epoch();
 }
 
-void KbServer::AcceptLoop() {
-  for (;;) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    int n = ::poll(fds, 2, -1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    if (fds[1].revents != 0) return;  // Stop() woke us
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-    bool admitted = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!stopping_ && !draining_ &&
-          pending_.size() < options_.queue_depth) {
-        admitted = true;
-        pending_.push_back(fd);
-        metrics_->queue_depth.Set(static_cast<int64_t>(pending_.size()));
-      }
-    }
-    if (admitted) {
-      RegisterConnection(fd);
-      work_cv_.notify_one();
-      continue;
-    }
-    // Admission control: the queue is full (or we are stopping), so
-    // shed this connection *now* with a retry hint instead of letting
-    // the backlog — and every admitted request's tail latency — grow
-    // without bound. A short send timeout keeps a stalled client from
-    // wedging the acceptor.
-    metrics_->rejected.Increment();
-    timeval timeout{1, 0};
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
-    WriteFrame(fd, OverloadedJson(options_.retry_after_ms));
-    ::close(fd);
-  }
-}
-
-void KbServer::WorkerLoop() {
-  for (;;) {
-    int fd = -1;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stopping_ || !pending_.empty(); });
-      if (stopping_) return;  // Stop() closes whatever is still queued
-      fd = pending_.front();
-      pending_.pop_front();
-      metrics_->queue_depth.Set(static_cast<int64_t>(pending_.size()));
-    }
-    ServeConnection(fd);
-  }
-}
-
-void KbServer::ServeConnection(int fd) {
-  metrics_->active_connections.Add(1);
-  for (;;) {
-    std::string payload;
-    Status status = ReadFrame(fd, &payload);
-    if (status.IsAborted()) break;  // peer closed between requests
-    if (!status.ok()) {
-      if (status.IsInvalidArgument()) {
-        // Oversized length prefix: the stream is unframeable from
-        // here, so answer once and drop the connection.
-        metrics_->errors.Increment();
-        WriteFrame(fd, ErrorJson("bad_frame", status.message()));
-      }
-      break;
-    }
-    std::string response;
-    bool keep_open = HandleFrame(payload, &response);
-    if (!WriteFrame(fd, response).ok()) break;
-    if (!keep_open) break;
-    bool stopping;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stopping = stopping_ || draining_;
-    }
-    if (stopping) break;
-  }
-  UnregisterAndClose(fd);
-  metrics_->active_connections.Add(-1);
-}
-
-bool KbServer::HandleFrame(const std::string& payload,
-                           std::string* response) {
+std::string KbServer::HandleFrame(const std::string& payload) {
   ScopedTimer timer(metrics_->request_ms);
   metrics_->requests.Increment();
   auto request = Json::Parse(payload);
   if (!request.ok()) {
     metrics_->errors.Increment();
-    *response = ErrorJson("bad_request", request.status().message());
-    return true;  // framing is intact; only this request was garbage
+    // Framing is intact; only this request was garbage.
+    return ErrorJson("bad_request", request.status().message());
   }
   try {
-    *response = HandleRequest(*request);
+    return HandleRequest(*request);
   } catch (const std::exception& e) {
     metrics_->errors.Increment();
-    *response = ErrorJson("internal", e.what());
+    return ErrorJson("internal", e.what());
   }
-  return true;
 }
 
 std::string KbServer::HandleRequest(const Json& request) {
@@ -553,7 +330,7 @@ std::string KbServer::HandleQuery(const Json& request) {
     else if (deadline_ms == 0) deadline_ms = 1e-9;  // expire immediately
   }
   if (deadline_ms > 0) {
-    exec.exec.deadline =
+    exec.deadline =
         std::chrono::steady_clock::now() +
         std::chrono::microseconds(static_cast<int64_t>(deadline_ms * 1000));
   }
@@ -561,7 +338,7 @@ std::string KbServer::HandleQuery(const Json& request) {
   if (request["max_rows"].is_number() && request["max_rows"].as_number() >= 0) {
     max_rows = static_cast<size_t>(request["max_rows"].as_number());
   }
-  exec.exec.max_rows = max_rows;
+  exec.max_rows = max_rows;
 
   const bool use_cache =
       result_cache_.enabled() && !request.GetBool("no_cache", false);
@@ -569,7 +346,7 @@ std::string KbServer::HandleQuery(const Json& request) {
   if (use_cache) {
     // Normalized shape + constants (the plan-cache key) plus what the
     // plan deliberately leaves out but the result depends on.
-    cache_key = query::PlanCacheKey(*parsed, exec.reorder_patterns);
+    cache_key = query::PlanCacheKey(*parsed);
     cache_key += "|limit=" + std::to_string(parsed->limit);
     cache_key += "|cap=" + std::to_string(max_rows);
     // The plan key deliberately omits top-k (the plan is k-agnostic);

@@ -7,7 +7,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -49,9 +48,7 @@ namespace server {
 ///     decoupled from thread count — 10k keep-alive clients cost 10k
 ///     fds, not 10k stacks. Clients may pipeline: frames on one
 ///     connection are answered strictly in order however the workers
-///     race. The PR-5 thread-per-connection core survives as an
-///     ablation (Options::threaded_core) so the benchmark can measure
-///     the difference.
+///     race.
 ///   - A fixed worker pool pulls parsed requests from a bounded queue.
 ///     When the queue is full, requests are *rejected* immediately
 ///     with {"status":"overloaded","retry_after_ms":R} instead of
@@ -59,7 +56,7 @@ namespace server {
 ///     latency of admitted work flat); the connection cap sheds
 ///     excess accepts the same way. `server.rejected` counts both.
 ///   - Per-request deadlines, threaded into the query executor as
-///     query::ExecOptions and enforced cooperatively inside the scan
+///     query::ExecutionOptions and enforced cooperatively inside the scan
 ///     loops. An expired query returns a partial-free
 ///     "deadline_exceeded" error, never silently truncated rows.
 ///   - A sharded LRU result cache keyed by the normalized query shape
@@ -77,26 +74,20 @@ class KbServer {
     int port = 0;               ///< 0 = ephemeral, see port()
     int num_workers = 4;        ///< request-serving threads
     size_t queue_depth = 16;    ///< pending requests before shedding
-    int io_threads = 2;         ///< epoll I/O threads (event core)
+    int io_threads = 2;         ///< epoll I/O threads
     /// listen(2) backlog; <= 0 means SOMAXCONN.
     int backlog = 0;
     /// Open-connection cap: accepts past it are shed with the overload
     /// hint instead of blocking accept. 0 derives num_workers +
-    /// queue_depth — the same envelope the thread-per-connection core
-    /// could hold, so shedding behavior is unchanged by default; raise
-    /// it explicitly (e.g. the concurrency bench) to hold thousands of
-    /// keep-alive connections.
+    /// queue_depth; raise it explicitly (e.g. the concurrency bench) to
+    /// hold thousands of keep-alive connections.
     size_t max_connections = 0;
     /// Connections idle (no traffic, nothing in flight) this long are
-    /// closed. 0 = never. Event core only.
+    /// closed. 0 = never.
     double idle_timeout_ms = 0;
     /// Parsed-but-unanswered frames allowed per connection before the
-    /// loop stops reading it (pipelining backpressure). Event core
-    /// only.
+    /// loop stops reading it (pipelining backpressure).
     size_t max_pipeline = 128;
-    /// Ablation: run the PR-5 thread-per-connection core instead of
-    /// the epoll event core. Kept so bench_e18 can compare the two.
-    bool threaded_core = false;
     size_t cache_bytes = 8u << 20;  ///< result cache; 0 disables
     /// Deadline applied when a query request carries none; 0 = none.
     double default_deadline_ms = 0;
@@ -133,7 +124,7 @@ class KbServer {
   KbServer(const KbServer&) = delete;
   KbServer& operator=(const KbServer&) = delete;
 
-  /// Binds, listens and spawns the acceptor + worker threads.
+  /// Binds, listens and spawns the I/O + worker threads.
   Status Start();
 
   /// Drains and joins everything. Idempotent.
@@ -168,18 +159,10 @@ class KbServer {
     std::string payload;
   };
 
-  // Event core.
-  Status StartEvent();
   void OnFrame(const ConnRef& conn, uint64_t seq, std::string payload);
   void EventWorkerLoop();
-
-  // Threaded-core ablation (PR-5 behavior).
-  Status StartThreaded();
-  void AcceptLoop();
-  void WorkerLoop();
-  void ServeConnection(int fd);
-  /// One request -> one response; false = close the connection.
-  bool HandleFrame(const std::string& payload, std::string* response);
+  /// One request frame -> one response frame.
+  std::string HandleFrame(const std::string& payload);
 
   std::string HandleRequest(const Json& request);
   /// Non-empty = the "stale_replica" error response for a request
@@ -194,9 +177,6 @@ class KbServer {
   std::string HandleHealth() const;
   std::string HandleMetrics() const;
 
-  void RegisterConnection(int fd);
-  void UnregisterAndClose(int fd);
-
   core::KnowledgeBase* kb_;
   Options options_;
   ResultCache result_cache_;
@@ -204,22 +184,15 @@ class KbServer {
 
   std::unique_ptr<EventServer> event_server_;
 
-  int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};  ///< unblocks the acceptor's poll()
   int port_ = 0;
   std::chrono::steady_clock::time_point started_at_{};
 
   std::mutex mu_;
   std::condition_variable work_cv_;
-  std::deque<int> pending_;          ///< threaded core: queued conn fds
-  std::deque<PendingRequest> reqs_;  ///< event core: queued requests
+  std::deque<PendingRequest> reqs_;  ///< admitted, not yet picked up
   bool stopping_ = false;
   bool draining_ = false;  ///< shed new work, finish in-flight
   bool started_ = false;
-
-  std::mutex conn_mu_;
-  std::condition_variable conn_cv_;  ///< signaled as connections close
-  std::set<int> active_fds_;  ///< every live accepted fd (for Stop)
 
   /// Reads (query parse/execute/render, entity cards, analytics
   /// scans) hold this shared for their full KB access; the insert
@@ -233,7 +206,6 @@ class KbServer {
   std::mutex analytics_pool_mu_;
   std::unique_ptr<ThreadPool> analytics_pool_;
 
-  std::thread acceptor_;
   std::vector<std::thread> workers_;
 };
 

@@ -8,7 +8,6 @@
 //   kbforge_serve [--port=N] [--workers=N] [--queue=N]
 //                 [--io-threads=N] [--backlog=N] [--max-connections=N]
 //                 [--idle-timeout-ms=MS] [--max-pipeline=N]
-//                 [--threaded-core]
 //                 [--cache-bytes=N] [--deadline-ms=MS] [--max-rows=N]
 //                 [--persons=N] [--seed=N] [--drain-ms=MS]
 //                 [--repl-port=N] [--repl-data-dir=PATH]
@@ -22,8 +21,7 @@
 // threads execute requests, so held-open connections cost no worker.
 // --max-connections (0 = workers + queue) sheds excess accepts,
 // --idle-timeout-ms reaps silent connections, --max-pipeline bounds
-// per-connection in-flight requests. --threaded-core selects the old
-// thread-per-connection core (ablation/escape hatch).
+// per-connection in-flight requests.
 //
 // --snapshot=PATH boots the KB by mapping a FrameStore snapshot file
 // instead of harvesting — the instant-start path (milliseconds instead
@@ -108,7 +106,6 @@ int main(int argc, char** argv) {
   long port = 7471, workers = 8, queue = 16;
   long io_threads = 2, backlog = 0, max_connections = 0;
   long idle_timeout_ms = 0, max_pipeline = 128;
-  bool threaded_core = false;
   long cache_bytes = 8 << 20, deadline_ms = 0, max_rows = 0;
   long persons = 400, seed = 4242, drain_ms = 2000;
   long repl_port = -1, repl_shards = 4;
@@ -125,7 +122,6 @@ int main(int argc, char** argv) {
     else if (FlagValue(argv[i], "--max-connections", &v)) max_connections = v;
     else if (FlagValue(argv[i], "--idle-timeout-ms", &v)) idle_timeout_ms = v;
     else if (FlagValue(argv[i], "--max-pipeline", &v)) max_pipeline = v;
-    else if (::strcmp(argv[i], "--threaded-core") == 0) threaded_core = true;
     else if (FlagValue(argv[i], "--cache-bytes", &v)) cache_bytes = v;
     else if (FlagValue(argv[i], "--deadline-ms", &v)) deadline_ms = v;
     else if (FlagValue(argv[i], "--max-rows", &v)) max_rows = v;
@@ -147,7 +143,6 @@ int main(int argc, char** argv) {
                 "usage: %s [--port=N] [--workers=N] [--queue=N] "
                 "[--io-threads=N] [--backlog=N] [--max-connections=N] "
                 "[--idle-timeout-ms=MS] [--max-pipeline=N] "
-                "[--threaded-core] "
                 "[--cache-bytes=N] [--deadline-ms=MS] [--max-rows=N] "
                 "[--persons=N] [--seed=N] [--drain-ms=MS] [--repl-port=N] "
                 "[--repl-data-dir=PATH] [--repl-shards=N] "
@@ -266,7 +261,6 @@ int main(int argc, char** argv) {
   options.max_connections = static_cast<size_t>(max_connections);
   options.idle_timeout_ms = static_cast<double>(idle_timeout_ms);
   options.max_pipeline = static_cast<size_t>(max_pipeline);
-  options.threaded_core = threaded_core;
   options.cache_bytes = static_cast<size_t>(cache_bytes);
   options.default_deadline_ms = static_cast<double>(deadline_ms);
   options.default_max_rows = static_cast<size_t>(max_rows);
@@ -292,10 +286,9 @@ int main(int argc, char** argv) {
     ::fprintf(stderr, "start failed: %s\n", status.ToString().c_str());
     return 1;
   }
-  ::printf("listening on 127.0.0.1:%d (%s core, %ld workers, queue %ld, "
+  ::printf("listening on 127.0.0.1:%d (%ld workers, queue %ld, "
            "%ld io threads, cache %ld bytes)\n",
-           server.port(), threaded_core ? "threaded" : "event", workers,
-           queue, io_threads, cache_bytes);
+           server.port(), workers, queue, io_threads, cache_bytes);
 
   std::unique_ptr<replication::WalShipper> shipper;
   if (repl_log != nullptr) {

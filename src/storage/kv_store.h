@@ -93,23 +93,6 @@ struct WalGenerationInfo {
   std::string path;
 };
 
-/// The read surface shared by KVStore and ShardedKVStore, so read-side
-/// adapters (StoredTripleSource) work against either engine.
-class KvReader {
- public:
-  virtual ~KvReader() = default;
-
-  /// Point lookup; NotFound if absent or deleted.
-  virtual Status Get(const Slice& key, std::string* value) = 0;
-
-  /// Visits live entries with start <= key < end (empty end = no
-  /// bound) in key order; newest version wins, tombstones are skipped.
-  /// Return false from fn to stop.
-  virtual Status Scan(
-      const Slice& start, const Slice& end,
-      const std::function<bool(const Slice&, const Slice&)>& fn) = 0;
-};
-
 /// A persistent ordered key/value store in the LSM architecture the
 /// RocksDB wiki describes: WAL + skiplist memtable + immutable sorted
 /// tables, with full merges once enough L0 tables accumulate. This is
@@ -131,7 +114,7 @@ class KvReader {
 /// A failed background flush/compaction fail-stops subsequent writes
 /// with the sticky error (reads keep serving); nothing acknowledged is
 /// ever lost while the WAL files backing unflushed data remain.
-class KVStore : public KvReader {
+class KVStore {
  public:
   /// Opens (or creates) a store in directory `path`, replaying any WAL.
   /// Strict: a corrupt SSTable fails the open with Corruption.
@@ -150,19 +133,21 @@ class KVStore : public KvReader {
       RecoveryReport* report = nullptr);
 
   /// Blocks until all background work for this store has drained.
-  ~KVStore() override;
+  ~KVStore();
 
   Status Put(const Slice& key, const Slice& value);
   Status Delete(const Slice& key);
 
-  Status Get(const Slice& key, std::string* value) override;
+  /// Point lookup; NotFound if absent or deleted.
+  Status Get(const Slice& key, std::string* value);
 
-  /// See KvReader::Scan. Returns Corruption if a table block fails its
-  /// checksum mid-scan (entries already visited stand). The visitor
-  /// runs with no store lock held and may reenter Get/Scan.
+  /// Visits live entries with start <= key < end (empty end = no
+  /// bound) in key order; newest version wins, tombstones are skipped.
+  /// Return false from fn to stop. Returns Corruption if a table block
+  /// fails its checksum mid-scan (entries already visited stand). The
+  /// visitor runs with no store lock held and may reenter Get/Scan.
   Status Scan(const Slice& start, const Slice& end,
-              const std::function<bool(const Slice&, const Slice&)>& fn)
-      override;
+              const std::function<bool(const Slice&, const Slice&)>& fn);
 
   /// Forces the memtable into a new SSTable and waits for the write to
   /// complete (durability barrier).

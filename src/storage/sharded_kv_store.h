@@ -40,7 +40,7 @@ struct ShardedStoreOptions {
 ///
 /// Thread-safe with the same per-shard guarantees as KVStore (group
 /// commit, background flush/compaction, snapshot scans).
-class ShardedKVStore : public KvReader {
+class ShardedKVStore {
  public:
   /// Opens (or creates) a sharded store rooted at directory `path`.
   /// Strict per-shard opens: any corrupt SSTable fails the open.
@@ -54,18 +54,17 @@ class ShardedKVStore : public KvReader {
       RecoveryReport* report = nullptr);
 
   /// Blocks until all shards' background work has drained.
-  ~ShardedKVStore() override;
+  ~ShardedKVStore();
 
   Status Put(const Slice& key, const Slice& value);
   Status Delete(const Slice& key);
-  Status Get(const Slice& key, std::string* value) override;
+  Status Get(const Slice& key, std::string* value);
 
-  /// See KvReader::Scan: one globally key-ordered stream merged across
+  /// See KVStore::Scan: one globally key-ordered stream merged across
   /// shards, pulled in bounded batches so no shard lock is held while
   /// the visitor runs.
   Status Scan(const Slice& start, const Slice& end,
-              const std::function<bool(const Slice&, const Slice&)>& fn)
-      override;
+              const std::function<bool(const Slice&, const Slice&)>& fn);
 
   /// Durability barrier across every shard.
   Status Flush();

@@ -140,34 +140,6 @@ TEST(FrameStoreTest, ScansMatchAllPatternShapes) {
   check(TriplePattern{a, a, a});
 }
 
-TEST(FrameStoreTest, TermObjectAblationMatchesIdScan) {
-  FrameStoreBuilder builder;
-  Term s = Term::Iri(rdf::EntityIri("S"));
-  Term p = Term::Iri(rdf::PropertyIri("p"));
-  Term o1 = Term::Iri(rdf::EntityIri("O1"));
-  Term o2 = Term::Iri(rdf::EntityIri("O2"));
-  builder.AddTerm(s);
-  builder.AddTerm(p);
-  builder.AddTerm(o1);
-  builder.AddTerm(o2);
-  builder.AddTriple(Triple(1, 2, 3));
-  builder.AddTriple(Triple(1, 2, 4));
-  builder.AddTriple(Triple(3, 2, 4));
-  auto bytes = builder.Serialize();
-  ASSERT_TRUE(bytes.ok());
-  auto store = AttachToString(*bytes);
-  ASSERT_TRUE(store.ok());
-
-  auto by_terms = (*store)->MatchTermObjects(&s, &p, nullptr);
-  auto by_ids =
-      (*store)->MatchFullScan(TriplePattern{1, 2, rdf::kAnyTerm});
-  std::sort(by_terms.begin(), by_terms.end());
-  std::sort(by_ids.begin(), by_ids.end());
-  EXPECT_EQ(by_terms, by_ids);
-  EXPECT_EQ(by_terms.size(), 2u);
-  EXPECT_EQ((*store)->MatchTermObjects(nullptr, nullptr, nullptr).size(), 3u);
-}
-
 TEST(FrameStoreTest, CorruptionIsRefused) {
   FrameStoreBuilder builder;
   for (const Term& t : SampleTerms()) builder.AddTerm(t);

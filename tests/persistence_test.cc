@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 
 #include "core/harvester.h"
+#include "core/kb_snapshot.h"
 #include "core/persistence.h"
-#include "storage/triple_codec.h"
 #include "rdf/namespaces.h"
+#include "storage/triple_codec.h"
 
 namespace kb {
 namespace core {
@@ -113,86 +113,107 @@ TEST(PersistenceTest, LoadFromEmptyStoreGivesEmptyKb) {
   EXPECT_EQ((*loaded)->NumTriples(), 0u);
 }
 
-TEST(PersistenceTest, QueriesRunDirectlyOffTheLsmStore) {
-  std::string dir = TempDir("stored_source");
-  KnowledgeBase kb;
+/// A KB with fact metadata, a type, a subclass edge and a label.
+std::unique_ptr<KnowledgeBase> SampleKb() {
+  auto kb = std::make_unique<KnowledgeBase>();
   FactMeta meta;
-  kb.AssertFact("Alice", "worksFor", "Acme", meta);
-  kb.AssertFact("Bob", "worksFor", "Acme", meta);
-  kb.AssertFact("Carol", "worksFor", "Globex", meta);
-  kb.AssertFact("Acme", "locatedIn", "Springfield", meta);
-  kb.AssertType("Alice", "person");
-  kb.AssertType("Bob", "person");
-  auto storage = KbStorage::Open(dir);
-  ASSERT_TRUE(storage.ok());
-  ASSERT_TRUE((*storage)->Save(kb).ok());
-
-  // The on-disk dictionary reproduces the in-memory term ids (Save
-  // wrote this same KB), so one parsed query runs against both.
-  auto dict = (*storage)->LoadDictionary();
-  ASSERT_TRUE(dict.ok()) << dict.status();
-  ASSERT_EQ(dict->size(), kb.store().dict().size());
-  auto source = (*storage)->NewTripleSource(/*batch_size=*/2);
-
-  std::string sparql = "SELECT ?who WHERE { ?who <" +
-                       rdf::PropertyIri("worksFor") + "> <" +
-                       rdf::EntityIri("Acme") + "> . }";
-  auto parsed = query::ParseSparql(sparql, *dict);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-
-  query::QueryEngine disk_engine(source.get());
-  query::QueryEngine mem_engine(&kb.store());
-  auto from_disk = disk_engine.Execute(*parsed);
-  auto from_mem = mem_engine.Execute(*parsed);
-  ASSERT_EQ(from_disk.size(), 2u);
-  std::sort(from_disk.begin(), from_disk.end());
-  std::sort(from_mem.begin(), from_mem.end());
-  EXPECT_EQ(from_disk, from_mem);
-
-  // Streaming with LIMIT terminates early against the LSM store too.
-  parsed->limit = 1;
-  query::QueryStats stats;
-  auto limited = disk_engine.Execute(*parsed, {}, &stats);
-  EXPECT_EQ(limited.size(), 1u);
-  EXPECT_LT(stats.intermediate_rows, kb.NumTriples());
-
-  std::filesystem::remove_all(dir);
+  meta.confidence = 0.625;
+  meta.support = 2;
+  kb->AssertFact("Alice", "worksFor", "Acme", meta);
+  kb->AssertFact("Bob", "worksFor", "Acme", FactMeta());
+  kb->AssertFact("Acme", "locatedIn", "Springfield", FactMeta());
+  kb->AssertType("Alice", "engineer");
+  kb->AssertSubclass("engineer", "person");
+  kb->AssertLabel("Alice", "Alice", "en");
+  return kb;
 }
 
-TEST(PersistenceTest, StoredSourceAgreesWithLoadedKbOnJoins) {
-  std::string dir = TempDir("stored_join");
-  KnowledgeBase kb;
-  FactMeta meta;
-  for (int i = 0; i < 12; ++i) {
-    std::string person = "P" + std::to_string(i);
-    std::string company = "C" + std::to_string(i % 3);
-    kb.AssertFact(person, "worksFor", company, meta);
-    kb.AssertFact(company, "locatedIn", i % 3 == 0 ? "Springfield" : "Ogden",
-                  meta);
+size_t CountKeysWithPrefix(KbStorage* storage, char prefix) {
+  size_t n = 0;
+  std::string begin(1, prefix), end(1, static_cast<char>(prefix + 1));
+  EXPECT_TRUE(storage->store()
+                  ->Scan(Slice(begin), Slice(end),
+                         [&n](const Slice&, const Slice&) {
+                           ++n;
+                           return true;
+                         })
+                  .ok());
+  return n;
+}
+
+/// Adds the 'P' and 'O' copies of every triple that Save wrote before
+/// triples were stored once, in SPO order: the older on-disk layout.
+void AddLegacyPermutationKeys(const KnowledgeBase& kb, KbStorage* storage) {
+  kb.store().Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
+    for (storage::TripleOrder order :
+         {storage::TripleOrder::kPos, storage::TripleOrder::kOsp}) {
+      EXPECT_TRUE(
+          storage->store()->Put(storage::EncodeTripleKey(order, t), "").ok());
+    }
+    return true;
+  });
+  EXPECT_TRUE(storage->Flush().ok());
+}
+
+TEST(PersistenceTest, SaveWritesOnlySpoTripleKeys) {
+  auto kb = SampleKb();
+  for (bool overlay : {false, true}) {
+    auto storage = KbStorage::Open(TempDir(overlay ? "spo_overlay" : "spo"));
+    ASSERT_TRUE(storage.ok());
+    // On a plain KB SaveOverlay writes the whole KB, like Save.
+    ASSERT_TRUE(overlay ? (*storage)->SaveOverlay(*kb).ok()
+                        : (*storage)->Save(*kb).ok());
+    EXPECT_EQ(CountKeysWithPrefix(storage->get(), 'S'), kb->NumTriples());
+    EXPECT_EQ(CountKeysWithPrefix(storage->get(), 'P'), 0u);
+    EXPECT_EQ(CountKeysWithPrefix(storage->get(), 'O'), 0u);
+  }
+}
+
+TEST(PersistenceTest, LegacyPermutationKeysStillLoad) {
+  std::string dir = TempDir("legacy_load");
+  auto kb = SampleKb();
+  {
+    auto storage = KbStorage::Open(dir);
+    ASSERT_TRUE(storage.ok());
+    ASSERT_TRUE((*storage)->Save(*kb).ok());
+    AddLegacyPermutationKeys(*kb, storage->get());
+    ASSERT_EQ(CountKeysWithPrefix(storage->get(), 'P'), kb->NumTriples());
   }
   auto storage = KbStorage::Open(dir);
   ASSERT_TRUE(storage.ok());
-  ASSERT_TRUE((*storage)->Save(kb).ok());
+  auto loaded = (*storage)->Load();
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ((*loaded)->NumTriples(), kb->NumTriples());
+  EXPECT_EQ((*loaded)->ExportNTriples(), kb->ExportNTriples());
+  rdf::Triple t((*loaded)->EntityTerm("Alice"),
+                (*loaded)->PropertyTerm("worksFor"),
+                (*loaded)->EntityTerm("Acme"));
+  const FactMeta* meta = (*loaded)->MetaOf(t);
+  ASSERT_NE(meta, nullptr);
+  EXPECT_DOUBLE_EQ(meta->confidence, 0.625);
+  EXPECT_EQ(meta->support, 2u);
+}
 
-  auto dict = (*storage)->LoadDictionary();
-  ASSERT_TRUE(dict.ok());
-  auto source = (*storage)->NewTripleSource();
-  std::string sparql = "SELECT ?p WHERE { ?p <" +
-                       rdf::PropertyIri("worksFor") + "> ?c . ?c <" +
-                       rdf::PropertyIri("locatedIn") + "> <" +
-                       rdf::EntityIri("Springfield") + "> . }";
-  auto parsed = query::ParseSparql(sparql, *dict);
-  ASSERT_TRUE(parsed.ok());
-  query::QueryEngine disk_engine(source.get());
-  query::QueryEngine mem_engine(&kb.store());
-  auto from_disk = disk_engine.Execute(*parsed);
-  auto from_mem = mem_engine.Execute(*parsed);
-  EXPECT_EQ(from_disk.size(), 4u);  // P0, P3, P6, P9
-  std::sort(from_disk.begin(), from_disk.end());
-  std::sort(from_mem.begin(), from_mem.end());
-  EXPECT_EQ(from_disk, from_mem);
-
-  std::filesystem::remove_all(dir);
+TEST(PersistenceTest, LegacyPermutationKeysReplayAsVolumeDelta) {
+  std::string dir = TempDir("legacy_volume");
+  auto kb = SampleKb();
+  auto volume = KbVolume::Open(nullptr, dir);
+  ASSERT_TRUE(volume.ok());
+  ASSERT_TRUE((*volume)->SaveDelta(*kb).ok());
+  {
+    auto delta = KbStorage::Open((*volume)->DeltaDir(0));
+    ASSERT_TRUE(delta.ok());
+    AddLegacyPermutationKeys(*kb, delta->get());
+  }
+  auto loaded = (*volume)->Load();
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_FALSE(loaded->from_snapshot);
+  EXPECT_EQ(loaded->kb->NumTriples(), kb->NumTriples());
+  EXPECT_EQ(loaded->kb->ExportNTriples(), kb->ExportNTriples());
+  taxonomy::ClassId sub = loaded->kb->taxonomy().Lookup("engineer");
+  taxonomy::ClassId super = loaded->kb->taxonomy().Lookup("person");
+  ASSERT_NE(sub, taxonomy::kInvalidClassId);
+  EXPECT_TRUE(loaded->kb->taxonomy().IsSubclassOf(sub, super));
 }
 
 TEST(PersistenceTest, CorruptMetadataDetected) {

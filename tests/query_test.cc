@@ -100,7 +100,7 @@ TEST_F(QueryFixture, RepeatedVariableMustAgree) {
   EXPECT_TRUE(engine.Execute(q).empty());
 }
 
-TEST_F(QueryFixture, ReorderingDoesNotChangeResults) {
+TEST_F(QueryFixture, PlannerRunsSelectivePatternFirst) {
   SelectQuery q;
   // Deliberately bad written order: unselective first.
   q.where.push_back({QueryTerm::Var("p"), QueryTerm::Var("r"),
@@ -108,14 +108,15 @@ TEST_F(QueryFixture, ReorderingDoesNotChangeResults) {
   q.where.push_back({QueryTerm::Var("p"), QueryTerm::Bound(works_for_),
                      QueryTerm::Bound(acme_)});
   QueryEngine engine(&store_);
-  ExecutionOptions optimized;
-  ExecutionOptions naive;
-  naive.reorder_patterns = false;
-  QueryStats stats_opt, stats_naive;
-  auto rows_opt = engine.Execute(q, optimized, &stats_opt);
-  auto rows_naive = engine.Execute(q, naive, &stats_naive);
-  EXPECT_EQ(rows_opt.size(), rows_naive.size());
-  EXPECT_LE(stats_opt.intermediate_rows, stats_naive.intermediate_rows);
+  QueryStats stats;
+  auto rows = engine.Execute(q, {}, &stats);
+  // Alice and Bob each have a type and a worksFor triple.
+  EXPECT_EQ(rows.size(), 4u);
+  // The two-constant pattern leads (2 matches), then each ?p probes its
+  // own 2 triples: 2 + 2 * 2. The written order would visit all 9
+  // triples before joining.
+  EXPECT_EQ(stats.intermediate_rows, 6u);
+  EXPECT_EQ(stats.index_scans, 3u);
 }
 
 TEST_F(QueryFixture, ProjectionLimitsColumns) {
@@ -273,47 +274,29 @@ TEST_F(QueryFixture, SnapshotIsolatesCursorFromAppends) {
   EXPECT_EQ(engine.Execute(q).size(), 4u);
 }
 
-TEST_F(QueryFixture, LimitPushdownAblation) {
+TEST_F(QueryFixture, LimitPushdownVisitsExactlyWhatItEmits) {
   SelectQuery q;
   q.where.push_back({QueryTerm::Var("x"), QueryTerm::Var("y"),
                      QueryTerm::Var("z")});
   q.limit = 2;
   QueryEngine engine(&store_);
-  ExecutionOptions no_pushdown;
-  no_pushdown.pushdown_limit = false;
-  QueryStats with_stats, without_stats;
-  auto with = engine.Execute(q, {}, &with_stats);
-  auto without = engine.Execute(q, no_pushdown, &without_stats);
-  EXPECT_EQ(with.size(), 2u);
-  EXPECT_EQ(without.size(), 2u);
-  // Pushdown stops after 2 triples; the ablation drains all 9.
-  EXPECT_LT(with_stats.intermediate_rows, without_stats.intermediate_rows);
-  EXPECT_EQ(without_stats.intermediate_rows, store_.size());
-}
+  QueryStats stats;
+  EXPECT_EQ(engine.Execute(q, {}, &stats).size(), 2u);
+  // Every visited triple extends the row, so LIMIT 2 stops the scan
+  // after exactly 2 of the store's 9 triples.
+  EXPECT_EQ(stats.intermediate_rows, 2u);
 
-TEST_F(QueryFixture, MaterializeTermsAblationChangesNothingButCounters) {
-  // The E17 term-object ablation drags every visited triple's three
-  // Terms off the heap; results and row order must be identical to the
-  // id-native path, only the materialization counter moves.
-  SelectQuery q;
-  q.where.push_back({QueryTerm::Var("p"), QueryTerm::Bound(works_for_),
-                     QueryTerm::Var("c")});
-  q.where.push_back({QueryTerm::Var("c"), QueryTerm::Bound(type_),
-                     QueryTerm::Bound(company_)});
-  QueryEngine engine(&store_);
-  ExecutionOptions id_native;
-  ExecutionOptions term_objects;
-  term_objects.materialize_terms = &store_.dict();
-  QueryStats id_stats, term_stats;
-  auto id_rows = engine.Execute(q, id_native, &id_stats);
-  auto term_rows = engine.Execute(q, term_objects, &term_stats);
-  EXPECT_EQ(id_rows, term_rows);
-  EXPECT_EQ(id_rows.size(), 3u);
-  EXPECT_EQ(id_stats.terms_materialized, 0u);
-  // Three terms per visited triple, across scan and join levels.
-  EXPECT_EQ(term_stats.terms_materialized,
-            3 * term_stats.intermediate_rows);
-  EXPECT_GT(term_stats.terms_materialized, 0u);
+  // Through a join: the first person's type triple, then its one
+  // worksFor triple (the planner leads with the 2-constant pattern).
+  SelectQuery join;
+  join.where.push_back({QueryTerm::Var("p"), QueryTerm::Bound(works_for_),
+                        QueryTerm::Var("c")});
+  join.where.push_back({QueryTerm::Var("p"), QueryTerm::Bound(type_),
+                        QueryTerm::Bound(person_)});
+  join.limit = 1;
+  QueryStats join_stats;
+  EXPECT_EQ(engine.Execute(join, {}, &join_stats).size(), 1u);
+  EXPECT_EQ(join_stats.intermediate_rows, 2u);
 }
 
 // ----------------------------------------------------------- Plan cache
@@ -341,12 +324,6 @@ TEST_F(QueryFixture, PlanCacheHitsOnRepeatedShape) {
   QueryStats distinct_stats;
   engine.Execute(q, {}, &distinct_stats);
   EXPECT_FALSE(distinct_stats.plan_cache_hit);
-
-  ExecutionOptions uncached;
-  uncached.use_plan_cache = false;
-  QueryStats uncached_stats;
-  engine.Execute(q, uncached, &uncached_stats);
-  EXPECT_FALSE(uncached_stats.plan_cache_hit);
 }
 
 TEST(PlanCacheTest, EvictsLeastRecentlyUsed) {
@@ -409,7 +386,7 @@ TEST_F(QueryFixture, ParseLiteralObjectWithSpaces) {
 
 // ------------------------------------------------- Equivalence property
 
-// Canonical form for multiset comparison across executors.
+// Canonical form for multiset comparison against the reference.
 std::vector<std::vector<std::pair<std::string, TermId>>> Canonical(
     std::vector<Binding> rows) {
   std::vector<std::vector<std::pair<std::string, TermId>>> out;
@@ -466,7 +443,7 @@ std::vector<Binding> BruteForce(const rdf::TripleStore& store,
   return out;
 }
 
-TEST(QueryPropertyTest, ExecutorsAgreeOnRandomStoresAndQueries) {
+TEST(QueryPropertyTest, ExecutorMatchesBruteForceOnRandomQueries) {
   for (uint32_t seed : {1u, 7u, 42u}) {
     std::mt19937 rng(seed);
     rdf::TripleStore store;
@@ -500,22 +477,7 @@ TEST(QueryPropertyTest, ExecutorsAgreeOnRandomStoresAndQueries) {
         };
         q.where.push_back({term(false), term(true), term(false)});
       }
-      auto expected = Canonical(BruteForce(store, q));
-
-      ExecutionOptions streaming;  // defaults
-      ExecutionOptions materialized;
-      materialized.streaming = false;
-      ExecutionOptions no_indexes;
-      no_indexes.use_indexes = false;
-      ExecutionOptions written_order;
-      written_order.reorder_patterns = false;
-      EXPECT_EQ(Canonical(engine.Execute(q, streaming)), expected)
-          << "seed=" << seed << " trial=" << trial;
-      EXPECT_EQ(Canonical(engine.Execute(q, materialized)), expected)
-          << "seed=" << seed << " trial=" << trial;
-      EXPECT_EQ(Canonical(engine.Execute(q, no_indexes)), expected)
-          << "seed=" << seed << " trial=" << trial;
-      EXPECT_EQ(Canonical(engine.Execute(q, written_order)), expected)
+      EXPECT_EQ(Canonical(engine.Execute(q)), Canonical(BruteForce(store, q)))
           << "seed=" << seed << " trial=" << trial;
     }
   }
@@ -647,7 +609,7 @@ TEST_F(QueryFixture, AggregatePlanKeyDistinctFromPlainShape) {
       "SELECT ?c (COUNT(?p) AS ?n) WHERE { ?p <worksFor> ?c . } GROUP BY ?c",
       store_.dict());
   ASSERT_TRUE(plain.ok() && agg.ok());
-  EXPECT_NE(PlanCacheKey(*plain, true), PlanCacheKey(*agg, true));
+  EXPECT_NE(PlanCacheKey(*plain), PlanCacheKey(*agg));
 
   QueryEngine engine(&store_);
   QueryStats plain_stats, agg_stats;
@@ -663,71 +625,10 @@ TEST_F(QueryFixture, AggregatePlanKeyDistinctFromPlainShape) {
       "GROUP BY ?c ORDER BY DESC(?n) LIMIT 1",
       store_.dict());
   ASSERT_TRUE(topk.ok());
-  EXPECT_EQ(PlanCacheKey(*agg, true), PlanCacheKey(*topk, true));
+  EXPECT_EQ(PlanCacheKey(*agg), PlanCacheKey(*topk));
   QueryStats topk_stats;
   engine.Execute(*topk, {}, &topk_stats);
   EXPECT_TRUE(topk_stats.plan_cache_hit);
-}
-
-// ------------------------------------------------------- Batch execution
-
-TEST_F(QueryFixture, BatchModeMatchesRowModeOnJoins) {
-  SelectQuery q;
-  q.projection = {"who"};
-  q.where.push_back({QueryTerm::Var("who"), QueryTerm::Bound(works_for_),
-                     QueryTerm::Var("c")});
-  q.where.push_back({QueryTerm::Var("c"), QueryTerm::Bound(located_in_),
-                     QueryTerm::Bound(springfield_)});
-  QueryEngine engine(&store_);
-  auto expected = Canonical(engine.Execute(q));
-  for (size_t batch : {1u, 2u, 1024u}) {
-    ExecutionOptions opts;
-    opts.batch_size = batch;
-    QueryStats stats;
-    EXPECT_EQ(Canonical(engine.Execute(q, opts, &stats)), expected)
-        << "batch_size=" << batch;
-    EXPECT_GE(stats.batches, 1u);
-  }
-}
-
-TEST_F(QueryFixture, BatchBloomPrefilterSkipsNonMatchingOuterRows) {
-  // Written order (reordering off): the unselective scan feeds the
-  // join, the selective level gets a Bloom prefilter built from its
-  // one-row inner side.
-  SelectQuery q;
-  q.projection = {"who"};
-  q.where.push_back({QueryTerm::Var("who"), QueryTerm::Bound(works_for_),
-                     QueryTerm::Var("c")});
-  q.where.push_back({QueryTerm::Var("c"), QueryTerm::Bound(located_in_),
-                     QueryTerm::Bound(springfield_)});
-  QueryEngine engine(&store_);
-  ExecutionOptions opts;
-  opts.batch_size = 16;
-  opts.reorder_patterns = false;
-  QueryStats stats;
-  auto rows = engine.Execute(q, opts, &stats);
-  EXPECT_EQ(rows.size(), 2u);
-  // Three outer rows probed; the two acme rows pass, globex is
-  // eliminated without ever touching the index.
-  EXPECT_EQ(stats.bloom_probes, 3u);
-  EXPECT_EQ(stats.bloom_hits, 2u);
-}
-
-TEST_F(QueryFixture, BatchModeMatchesRowModeOnAggregates) {
-  for (const char* sparql :
-       {"SELECT ?c (COUNT(?p) AS ?n) WHERE { ?p <worksFor> ?c . } "
-        "GROUP BY ?c",
-        "SELECT (COUNT(DISTINCT ?c) AS ?n) WHERE { ?p <worksFor> ?c . }",
-        "SELECT ?c (COUNT(?p) AS ?n) WHERE { ?p <worksFor> ?c . } "
-        "GROUP BY ?c ORDER BY DESC(?n) LIMIT 1"}) {
-    auto parsed = ParseSparql(sparql, store_.dict());
-    ASSERT_TRUE(parsed.ok()) << parsed.status();
-    QueryEngine engine(&store_);
-    auto expected = Canonical(engine.Execute(*parsed));
-    ExecutionOptions opts;
-    opts.batch_size = 2;
-    EXPECT_EQ(Canonical(engine.Execute(*parsed, opts)), expected) << sparql;
-  }
 }
 
 // -------------------------------------------- Aggregate property tests
@@ -801,7 +702,7 @@ std::vector<std::vector<TermId>> AggRows(const std::vector<Binding>& rows,
   return out;
 }
 
-TEST(QueryPropertyTest, AggregatesMatchBruteForceAcrossModesAndStores) {
+TEST(QueryPropertyTest, AggregatesMatchBruteForceOnBothStores) {
   for (uint32_t seed : {3u, 11u, 29u}) {
     std::mt19937 rng(seed);
     rdf::TripleStore store;
@@ -868,21 +769,16 @@ TEST(QueryPropertyTest, AggregatesMatchBruteForceAcrossModesAndStores) {
       if (top_k) q.agg.top_k = 1 + rng() % 3;
 
       auto expected = BruteForceAgg(store, q);
-      auto check = [&](QueryEngine& engine, size_t batch_size,
-                       const char* label) {
-        ExecutionOptions opts;
-        opts.batch_size = batch_size;
-        auto got = AggRows(engine.Execute(q, opts), q);
+      auto check = [&](QueryEngine& engine, const char* label) {
+        auto got = AggRows(engine.Execute(q), q);
         if (q.agg.top_k == 0) std::sort(got.begin(), got.end());
         std::vector<std::vector<TermId>> want = expected;
         if (q.agg.top_k == 0) std::sort(want.begin(), want.end());
         EXPECT_EQ(got, want) << label << " seed=" << seed
                              << " trial=" << trial;
       };
-      check(store_engine, 0, "store/row");
-      check(store_engine, 3, "store/batch");
-      check(frame_engine, 0, "frame/row");
-      check(frame_engine, 7, "frame/batch");
+      check(store_engine, "store");
+      check(frame_engine, "frame");
     }
   }
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -13,7 +12,6 @@
 #include "storage/memtable.h"
 #include "storage/sharded_kv_store.h"
 #include "storage/sstable.h"
-#include "storage/stored_triple_source.h"
 #include "storage/triple_codec.h"
 #include "storage/wal.h"
 #include "util/random.h"
@@ -694,100 +692,6 @@ TEST(TripleCodecTest, TwoComponentPrefixSelectsSubjectPredicate) {
                   .starts_with(Slice(pos_prefix)));
 }
 
-// -------------------------------------------------- StoredTripleSource
-
-class StoredTripleSourceTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() / "kbforge_stored_src")
-               .string();
-    std::filesystem::remove_all(dir_);
-    StoreOptions options;
-    options.sync_wal = false;
-    auto store = KVStore::Open(options, dir_);
-    ASSERT_TRUE(store.ok());
-    store_ = std::move(*store);
-    // 40 triples over small id spaces, in all three collation orders
-    // (mirrors core::KbStorage::Save's layout).
-    for (rdf::TermId s = 1; s <= 5; ++s) {
-      for (rdf::TermId o = 1; o <= 4; ++o) {
-        rdf::Triple t(s, 1 + (s + o) % 2, 100 + o);
-        if (!triples_.insert(t).second) continue;
-        for (TripleOrder order :
-             {TripleOrder::kSpo, TripleOrder::kPos, TripleOrder::kOsp}) {
-          ASSERT_TRUE(store_->Put(EncodeTripleKey(order, t), "").ok());
-        }
-      }
-    }
-    ASSERT_TRUE(store_->Flush().ok());
-  }
-
-  void TearDown() override {
-    store_.reset();
-    std::filesystem::remove_all(dir_);
-  }
-
-  size_t CountMatching(const rdf::TriplePattern& pattern) const {
-    size_t n = 0;
-    for (const rdf::Triple& t : triples_) {
-      if (pattern.Matches(t)) ++n;
-    }
-    return n;
-  }
-
-  std::string dir_;
-  std::unique_ptr<KVStore> store_;
-  std::set<rdf::Triple> triples_;
-};
-
-TEST_F(StoredTripleSourceTest, ScansEveryPatternShape) {
-  // Tiny batches force many refills mid-scan.
-  StoredTripleSource source(store_.get(), /*batch_size=*/3);
-  std::vector<rdf::TriplePattern> patterns;
-  patterns.push_back({});                                 // (?,?,?)
-  patterns.push_back({3, rdf::kAnyTerm, rdf::kAnyTerm});  // (s,?,?)
-  patterns.push_back({rdf::kAnyTerm, 1, rdf::kAnyTerm});  // (?,p,?)
-  patterns.push_back({rdf::kAnyTerm, rdf::kAnyTerm, 102});
-  patterns.push_back({3, 1, rdf::kAnyTerm});
-  patterns.push_back({3, rdf::kAnyTerm, 102});
-  patterns.push_back({rdf::kAnyTerm, 1, 102});
-  patterns.push_back({3, 1, 102});
-  patterns.push_back({99, rdf::kAnyTerm, rdf::kAnyTerm});  // no match
-  for (const rdf::TriplePattern& pattern : patterns) {
-    std::set<rdf::Triple> got;
-    for (auto it = source.NewScan(pattern); it->Valid(); it->Next()) {
-      EXPECT_TRUE(pattern.Matches(it->Value()));
-      EXPECT_TRUE(got.insert(it->Value()).second) << "duplicate triple";
-      EXPECT_TRUE(it->status().ok());
-    }
-    EXPECT_EQ(got.size(), CountMatching(pattern));
-  }
-}
-
-TEST_F(StoredTripleSourceTest, IteratorSeekSkipsForward) {
-  StoredTripleSource source(store_.get(), /*batch_size=*/4);
-  rdf::TriplePattern all;
-  auto it = source.NewScan(all);
-  ASSERT_TRUE(it->Valid());
-  ASSERT_EQ(it->order(), rdf::ScanOrder::kSpo);
-  // Seek to subject 4: lands on the first triple with s >= 4.
-  it->Seek(rdf::Triple(4, 0, 0));
-  ASSERT_TRUE(it->Valid());
-  EXPECT_GE(it->Value().s, 4u);
-  size_t rest = 0;
-  for (; it->Valid(); it->Next()) ++rest;
-  EXPECT_EQ(rest, CountMatching({4, rdf::kAnyTerm, rdf::kAnyTerm}) +
-                      CountMatching({5, rdf::kAnyTerm, rdf::kAnyTerm}));
-}
-
-TEST_F(StoredTripleSourceTest, EstimateCountMatchesExactOnSmallStore) {
-  StoredTripleSource source(store_.get());
-  EXPECT_EQ(source.EstimateCount({}), triples_.size());
-  EXPECT_EQ(source.EstimateCount({3, rdf::kAnyTerm, rdf::kAnyTerm}),
-            CountMatching({3, rdf::kAnyTerm, rdf::kAnyTerm}));
-  EXPECT_EQ(source.EstimateCount({99, rdf::kAnyTerm, rdf::kAnyTerm}), 0u);
-}
-
 // ---------------------------------------------------------- Block cache
 
 TEST(KVStoreCacheTest, RepeatedGetsHitTheBlockCache) {
@@ -1039,34 +943,6 @@ TEST(ShardedKVStoreTest, CompactAllCompactsEveryShard) {
     EXPECT_EQ(value, "r2");
   }
 }
-
-TEST(ShardedKVStoreTest, WorksThroughStoredTripleSource) {
-  std::string dir = TempDir("sharded_source");
-  ShardedStoreOptions options;
-  options.num_shards = 4;
-  options.store.sync_wal = false;
-  auto store = ShardedKVStore::Open(options, dir);
-  ASSERT_TRUE(store.ok());
-  std::set<rdf::Triple> triples;
-  for (rdf::TermId s = 1; s <= 5; ++s) {
-    for (rdf::TermId o = 1; o <= 4; ++o) {
-      rdf::Triple t(s, 1 + (s + o) % 2, 100 + o);
-      if (!triples.insert(t).second) continue;
-      for (TripleOrder order :
-           {TripleOrder::kSpo, TripleOrder::kPos, TripleOrder::kOsp}) {
-        ASSERT_TRUE((*store)->Put(EncodeTripleKey(order, t), "").ok());
-      }
-    }
-  }
-  StoredTripleSource source(store->get(), /*batch_size=*/4);
-  rdf::TriplePattern all;
-  std::set<rdf::Triple> got;
-  for (auto it = source.NewScan(all); it->Valid(); it->Next()) {
-    EXPECT_TRUE(got.insert(it->Value()).second);
-  }
-  EXPECT_EQ(got, triples);
-}
-
 
 // ------------------------------------------------- WAL generations
 
