@@ -69,12 +69,12 @@ void RecordMeta(const char* rec, FactMeta* out) {
 
 }  // namespace
 
-std::string EncodePackedMeta(const std::map<rdf::Triple, FactMeta>& metas) {
-  // std::map iterates in Triple order (s, p, o) — exactly the sort the
-  // binary search in LookupPackedMeta relies on.
+std::string EncodePackedMeta(const std::map<rdf::Triple, FactMeta>& metas,
+                             std::string_view base) {
+  if (base.size() % kPackedMetaRecordSize != 0) base = std::string_view();
   std::string out;
-  out.reserve(metas.size() * kPackedMetaRecordSize);
-  for (const auto& [t, meta] : metas) {
+  out.reserve(base.size() + metas.size() * kPackedMetaRecordSize);
+  auto put = [&out](const rdf::Triple& t, const FactMeta& meta) {
     PutFixed32(&out, t.s);
     PutFixed32(&out, t.p);
     PutFixed32(&out, t.o);
@@ -90,7 +90,23 @@ std::string EncodePackedMeta(const std::map<rdf::Triple, FactMeta>& metas) {
     };
     put_date(meta.valid_time.begin);
     put_date(meta.valid_time.end);
+  };
+  // One merge pass: std::map iterates in Triple order (s, p, o), the
+  // order the base records are in and LookupPackedMeta relies on. A
+  // base record is copied as it is unless `metas` overrides it.
+  auto it = metas.begin();
+  for (size_t off = 0; off < base.size(); off += kPackedMetaRecordSize) {
+    const char* rec = base.data() + off;
+    const rdf::Triple t = RecordTriple(rec);
+    for (; it != metas.end() && it->first < t; ++it) put(it->first, it->second);
+    if (it != metas.end() && it->first == t) {
+      put(it->first, it->second);
+      ++it;
+    } else {
+      out.append(rec, kPackedMetaRecordSize);
+    }
   }
+  for (; it != metas.end(); ++it) put(it->first, it->second);
   return out;
 }
 
@@ -145,18 +161,14 @@ StatusOr<std::string> SerializeKbSnapshot(const KnowledgeBase& kb) {
   // Metadata: the base snapshot's packed section (if any) overlaid
   // with the in-memory dirty map, so merged support/confidence from
   // this generation's writes survives the compaction.
-  std::map<rdf::Triple, FactMeta> metas;
+  std::string_view base_meta;
   if (kb.store().base() != nullptr) {
-    std::string_view base_meta;
-    if (kb.store().base()->section(rdf::FrameStore::kSectionFactMeta,
-                                   &base_meta)) {
-      DecodeAllPackedMeta(base_meta, &metas);
-    }
+    kb.store().base()->section(rdf::FrameStore::kSectionFactMeta,
+                               &base_meta);
   }
-  for (const auto& [t, meta] : kb.meta_map()) metas[t] = meta;
+  std::string metas = EncodePackedMeta(kb.meta_map(), base_meta);
   if (!metas.empty()) {
-    builder.SetSection(rdf::FrameStore::kSectionFactMeta,
-                       EncodePackedMeta(metas));
+    builder.SetSection(rdf::FrameStore::kSectionFactMeta, std::move(metas));
   }
   builder.SetEpoch(kb.epoch());
   builder.SetNumEntities(entities);

@@ -123,7 +123,12 @@ class KbVolume {
 /// search away from the mapped bytes, no deserialization up front.
 constexpr size_t kPackedMetaRecordSize = 40;
 
-std::string EncodePackedMeta(const std::map<rdf::Triple, FactMeta>& metas);
+/// Packs `metas`, merged in one linear pass with the records of `base`
+/// (a section this encoder wrote earlier): a triple in both keeps its
+/// `metas` entry. A `base` whose size is not a whole number of records
+/// is ignored, as DecodeAllPackedMeta ignores it.
+std::string EncodePackedMeta(const std::map<rdf::Triple, FactMeta>& metas,
+                             std::string_view base = std::string_view());
 bool LookupPackedMeta(std::string_view section, const rdf::Triple& t,
                       FactMeta* out);
 void DecodeAllPackedMeta(std::string_view section,

@@ -130,23 +130,24 @@ void KnowledgeBase::AssertSubclass(const std::string& sub,
 bool KnowledgeBase::InsertMetaLocked(const rdf::Triple& t,
                                      const FactMeta& meta,
                                      bool merge_valid_time) {
-  // A re-asserted snapshot fact merges into its packed base metadata,
-  // not a blank slate: seed the in-memory entry from the base first.
-  if (meta_.find(t) == meta_.end()) {
-    if (const FactMeta* inherited = BaseMetaLocked(t)) {
-      meta_.emplace(t, *inherited);
+  auto it = meta_.lower_bound(t);
+  if (it == meta_.end() || !(it->first == t)) {
+    // A re-asserted snapshot fact merges into its packed base metadata,
+    // not a blank slate: seed the in-memory entry from the base first.
+    const FactMeta* inherited = BaseMetaLocked(t);
+    if (inherited == nullptr) {
+      meta_.emplace_hint(it, t, meta);
+      return true;
     }
+    it = meta_.emplace_hint(it, t, *inherited);
   }
-  auto [it, inserted] = meta_.emplace(t, meta);
-  if (!inserted) {
-    it->second.confidence = std::max(it->second.confidence, meta.confidence);
-    it->second.support += meta.support;
-    if (merge_valid_time && !it->second.valid_time.valid() &&
-        meta.valid_time.valid()) {
-      it->second.valid_time = meta.valid_time;
-    }
+  it->second.confidence = std::max(it->second.confidence, meta.confidence);
+  it->second.support += meta.support;
+  if (merge_valid_time && !it->second.valid_time.valid() &&
+      meta.valid_time.valid()) {
+    it->second.valid_time = meta.valid_time;
   }
-  return inserted;
+  return false;
 }
 
 bool KnowledgeBase::AssertFact(const std::string& subject,

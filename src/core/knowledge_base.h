@@ -5,6 +5,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "query/engine.h"
@@ -178,7 +179,7 @@ class KnowledgeBase {
   std::atomic<uint64_t> epoch_{0};
   rdf::TripleStore store_;
   taxonomy::Taxonomy taxonomy_;
-  std::map<std::string, rdf::TermId> entity_terms_;
+  std::unordered_map<std::string, rdf::TermId> entity_terms_;
   std::map<rdf::Triple, FactMeta> meta_;
   rdf::TermId rdf_type_;
   rdf::TermId rdfs_subclass_;

@@ -50,6 +50,21 @@ uint64_t LoadU64(const char* p) {
   return v;
 }
 
+void StoreU32(char* p, uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
+
+/// Packs a sorted run as 12-byte {s,p,o} records.
+std::string PackRun(const std::vector<Triple>& run) {
+  std::string bytes(run.size() * FrameStore::kTripleRecordSize, '\0');
+  char* p = bytes.data();
+  for (const Triple& t : run) {
+    StoreU32(p, t.s);
+    StoreU32(p + 4, t.p);
+    StoreU32(p + 8, t.o);
+    p += FrameStore::kTripleRecordSize;
+  }
+  return bytes;
+}
+
 uint32_t KindCode(const Term& term) {
   switch (term.kind()) {
     case TermKind::kIri:
@@ -214,32 +229,27 @@ StatusOr<std::string> FrameStoreBuilder::Serialize() {
   }
   std::string dict_bytes;
   PutFixed64(&dict_bytes, n_slots);
-  for (uint32_t slot : slots) PutFixed32(&dict_bytes, slot);
+  dict_bytes.resize(dict_bytes.size() + 4 * slots.size());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    StoreU32(dict_bytes.data() + 8 + 4 * i, slots[i]);
+  }
 
-  // The three sorted runs. Triples are deduped in SPO; POS/OSP are
+  // The three sorted runs, each sorted in place from the previous one
+  // (the builder is consumed). Triples are deduped in SPO; POS/OSP are
   // permutations of the same set, so one check suffices.
-  auto pack_run = [](std::vector<Triple> run, ScanOrder order) {
-    std::sort(run.begin(), run.end(), [order](const Triple& a,
-                                              const Triple& b) {
-      return LessInOrder(order, a, b);
-    });
-    std::string bytes;
-    bytes.reserve(run.size() * FrameStore::kTripleRecordSize);
-    for (const Triple& t : run) {
-      PutFixed32(&bytes, t.s);
-      PutFixed32(&bytes, t.p);
-      PutFixed32(&bytes, t.o);
-    }
-    return std::make_pair(std::move(run), std::move(bytes));
-  };
-  auto [spo, spo_bytes] = pack_run(triples_, ScanOrder::kSpo);
-  for (size_t i = 1; i < spo.size(); ++i) {
-    if (spo[i] == spo[i - 1]) {
+  SortRun(&triples_, ScanOrder::kSpo);
+  for (size_t i = 1; i < triples_.size(); ++i) {
+    if (triples_[i] == triples_[i - 1]) {
       return Status::InvalidArgument("duplicate triple in builder");
     }
   }
-  std::string pos_bytes = pack_run(triples_, ScanOrder::kPos).second;
-  std::string osp_bytes = pack_run(triples_, ScanOrder::kOsp).second;
+  const uint64_t num_triples = triples_.size();
+  const std::string spo_bytes = PackRun(triples_);
+  SortRun(&triples_, ScanOrder::kPos);
+  const std::string pos_bytes = PackRun(triples_);
+  SortRun(&triples_, ScanOrder::kOsp);
+  const std::string osp_bytes = PackRun(triples_);
+  std::vector<Triple>().swap(triples_);  // freed before the file is built
 
   std::vector<std::pair<uint32_t, const std::string*>> sections = {
       {FrameStore::kSectionTermRecords, &term_records_},
@@ -253,41 +263,43 @@ StatusOr<std::string> FrameStoreBuilder::Serialize() {
     sections.emplace_back(id, &bytes);
   }
 
-  size_t table_end = FrameStore::kHeaderSize +
-                     sections.size() * FrameStore::kSectionEntrySize;
-  std::string body;
+  // Each section starts at the next 8-aligned offset after the one
+  // before it; the first follows the section table.
+  const size_t table_end = FrameStore::kHeaderSize +
+                           sections.size() * FrameStore::kSectionEntrySize;
   std::string table;
-  size_t offset = AlignUp8(table_end);
+  std::vector<size_t> offsets;
+  size_t file_size = table_end;
   for (const auto& [id, bytes] : sections) {
-    body.append(offset - table_end - body.size(), '\0');
-    body.append(*bytes);
+    const size_t offset = AlignUp8(file_size);
+    offsets.push_back(offset);
+    file_size = offset + bytes->size();
     PutFixed32(&table, id);
     PutFixed32(&table, 0);  // flags
     PutFixed64(&table, offset);
     PutFixed64(&table, bytes->size());
     PutFixed32(&table, Crc32(bytes->data(), bytes->size()));
     PutFixed32(&table, 0);  // pad
-    offset = AlignUp8(offset + bytes->size());
   }
 
-  std::string header;
-  PutFixed32(&header, FrameStore::kMagic);
-  PutFixed32(&header, FrameStore::kVersion);
-  PutFixed64(&header, table_end + body.size());  // file_size
-  PutFixed64(&header, epoch_);
-  PutFixed64(&header, num_terms_);
-  PutFixed64(&header, spo.size());
-  PutFixed64(&header, num_entities_);
-  PutFixed32(&header, static_cast<uint32_t>(sections.size()));
-  PutFixed32(&header, 0);  // header_crc, patched below
-  KB_CHECK(header.size() == FrameStore::kHeaderSize);
-
-  std::string out = header + table;
-  uint32_t crc = Crc32(out.data(), out.size());
-  std::string patched;
-  PutFixed32(&patched, crc);
-  out.replace(kOffHeaderCrc, 4, patched);
-  out += body;
+  std::string out;
+  out.reserve(file_size);
+  PutFixed32(&out, FrameStore::kMagic);
+  PutFixed32(&out, FrameStore::kVersion);
+  PutFixed64(&out, file_size);
+  PutFixed64(&out, epoch_);
+  PutFixed64(&out, num_terms_);
+  PutFixed64(&out, num_triples);
+  PutFixed64(&out, num_entities_);
+  PutFixed32(&out, static_cast<uint32_t>(sections.size()));
+  PutFixed32(&out, 0);  // header_crc, patched below
+  KB_CHECK(out.size() == FrameStore::kHeaderSize);
+  out += table;
+  StoreU32(out.data() + kOffHeaderCrc, Crc32(out.data(), out.size()));
+  for (size_t i = 0; i < sections.size(); ++i) {
+    out.resize(offsets[i], '\0');
+    out += *sections[i].second;
+  }
   return out;
 }
 

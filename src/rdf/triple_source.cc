@@ -1,9 +1,69 @@
 #include "rdf/triple_source.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "util/logging.h"
 
 namespace kb {
 namespace rdf {
+
+namespace {
+
+/// Each 32-bit id splits into digits of 11, 11 and 10 bits.
+constexpr int kDigitBits = 11;
+constexpr uint32_t kDigitMask = (1u << kDigitBits) - 1;
+constexpr size_t kBuckets = size_t{1} << kDigitBits;
+constexpr int kDigitsPerId = 3;
+constexpr int kDigits = 3 * kDigitsPerId;
+
+using Field = TermId Triple::*;
+
+/// LSD radix sort of a long run. All nine digit histograms come from
+/// one pass; each digit that varies across the run then costs one
+/// stable scatter pass, least significant first. The 72 KB of counts
+/// sit on this frame, which only long runs reach.
+void RadixSortRun(std::vector<Triple>* run, ScanOrder order) {
+  static constexpr Field kFieldsLsdFirst[3][3] = {
+      {&Triple::o, &Triple::p, &Triple::s},   // kSpo
+      {&Triple::s, &Triple::o, &Triple::p},   // kPos
+      {&Triple::p, &Triple::s, &Triple::o}};  // kOsp
+  const Field* fields = kFieldsLsdFirst[static_cast<int>(order)];
+  const size_t n = run->size();
+  uint32_t counts[kDigits][kBuckets] = {};
+  for (const Triple& t : *run) {
+    for (int f = 0; f < 3; ++f) {
+      const TermId id = t.*fields[f];
+      uint32_t(*c)[kBuckets] = counts + f * kDigitsPerId;
+      ++c[0][id & kDigitMask];
+      ++c[1][(id >> kDigitBits) & kDigitMask];
+      ++c[2][id >> (2 * kDigitBits)];
+    }
+  }
+  std::vector<Triple> scratch(n);
+  Triple* src = run->data();
+  Triple* dst = scratch.data();
+  for (int d = 0; d < kDigits; ++d) {
+    const Field field = fields[d / kDigitsPerId];
+    const int shift = (d % kDigitsPerId) * kDigitBits;
+    uint32_t* next = counts[d];
+    // A digit every triple shares leaves the order as it is.
+    if (next[(src[0].*field >> shift) & kDigitMask] == n) continue;
+    uint32_t sum = 0;
+    for (size_t b = 0; b < kBuckets; ++b) {
+      const uint32_t count = next[b];
+      next[b] = sum;
+      sum += count;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      dst[next[(src[i].*field >> shift) & kDigitMask]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != run->data()) run->swap(scratch);
+}
+
+}  // namespace
 
 void ComponentsInOrder(ScanOrder order, const Triple& t, TermId out[3]) {
   switch (order) {
@@ -45,6 +105,19 @@ bool LessInOrder(ScanOrder order, const Triple& a, const Triple& b) {
   if (ka[0] != kb_[0]) return ka[0] < kb_[0];
   if (ka[1] != kb_[1]) return ka[1] < kb_[1];
   return ka[2] < kb_[2];
+}
+
+void SortRun(std::vector<Triple>* run, ScanOrder order) {
+  auto less = [order](const Triple& a, const Triple& b) {
+    return LessInOrder(order, a, b);
+  };
+  if (std::is_sorted(run->begin(), run->end(), less)) return;
+  // The digit counts are 32-bit; a run past that falls back too.
+  if (run->size() < kSortRunRadixMin || run->size() > UINT32_MAX) {
+    std::sort(run->begin(), run->end(), less);
+    return;
+  }
+  RadixSortRun(run, order);
 }
 
 int BoundPrefixLength(ScanOrder order, const TriplePattern& pattern) {

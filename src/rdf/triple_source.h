@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "rdf/triple.h"
 #include "util/status.h"
@@ -38,6 +39,21 @@ Triple TripleFromOrder(ScanOrder order, TermId a, TermId b, TermId c);
 
 /// Lexicographic comparison of two triples in `order` space.
 bool LessInOrder(ScanOrder order, const Triple& a, const Triple& b);
+
+/// Runs shorter than this are sorted by std::sort in SortRun: below a
+/// few thousand triples the radix passes' fixed cost (clearing and
+/// scanning the digit counts) outweighs the comparisons they save.
+inline constexpr size_t kSortRunRadixMin = 4096;
+
+/// Sorts `run` into `order`'s collation: the one sort kernel behind
+/// every permutation run (TripleStore snapshots, FrameStore
+/// serialization). A run already in order costs one comparison pass;
+/// a short run goes through std::sort; a long one is LSD radix-sorted
+/// on 11-bit digits of its three ids, skipping every digit that is
+/// constant across the run. The result is the order std::sort with
+/// LessInOrder gives. Runs on the calling thread; the only heap
+/// allocation is the long run's scatter buffer.
+void SortRun(std::vector<Triple>* run, ScanOrder order);
 
 /// The order whose sort prefix covers the most bound components of
 /// `pattern` (ties break SPO, POS, OSP).

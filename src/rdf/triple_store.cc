@@ -1,11 +1,14 @@
 #include "rdf/triple_store.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace kb {
 namespace rdf {
 
 namespace {
+
+const Triple kEmptySlot(kAnyTerm, kAnyTerm, kAnyTerm);
 
 /// Iterator over one sorted index range. Holds a shared_ptr to the
 /// snapshot so the data outlives store mutations and even the store.
@@ -143,6 +146,45 @@ class HybridSnapshot : public TripleSource {
   std::shared_ptr<const StoreSnapshot> delta_;
 };
 
+TripleSet::TripleSet(TripleSet&& other) noexcept
+    : slots_(std::exchange(other.slots_, {})),
+      size_(std::exchange(other.size_, 0)) {}
+
+TripleSet& TripleSet::operator=(TripleSet&& other) noexcept {
+  slots_ = std::exchange(other.slots_, {});
+  size_ = std::exchange(other.size_, 0);
+  return *this;
+}
+
+size_t TripleSet::Find(const Triple& t) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = TripleHash()(t) & mask;
+  while (!(slots_[i] == t) && slots_[i].s != kAnyTerm) i = (i + 1) & mask;
+  return i;
+}
+
+bool TripleSet::Insert(const Triple& t) {
+  if (4 * (size_ + 1) > 3 * slots_.size()) Grow();
+  const size_t i = Find(t);
+  if (slots_[i] == t) return false;
+  slots_[i] = t;
+  ++size_;
+  return true;
+}
+
+bool TripleSet::Contains(const Triple& t) const {
+  return size_ > 0 && slots_[Find(t)] == t;
+}
+
+void TripleSet::Grow() {
+  std::vector<Triple> old = std::exchange(
+      slots_,
+      std::vector<Triple>(std::max<size_t>(16, 2 * slots_.size()), kEmptySlot));
+  for (const Triple& t : old) {
+    if (t.s != kAnyTerm) slots_[Find(t)] = t;
+  }
+}
+
 TripleStore::TripleStore(std::shared_ptr<const FrameStore> base)
     : base_(base), dict_(std::move(base)) {}
 
@@ -169,7 +211,7 @@ TripleStore& TripleStore::operator=(TripleStore&& other) noexcept {
 bool TripleStore::Add(const Triple& t) {
   if (base_ != nullptr && base_->Contains(t)) return false;
   std::lock_guard<std::mutex> lock(mu_);
-  if (!set_.insert(t).second) return false;
+  if (!set_.Insert(t)) return false;
   pending_.push_back(t);
   return true;
 }
@@ -181,7 +223,7 @@ bool TripleStore::AddTerms(const Term& s, const Term& p, const Term& o) {
 bool TripleStore::Contains(const Triple& t) const {
   if (base_ != nullptr && base_->Contains(t)) return true;
   std::lock_guard<std::mutex> lock(mu_);
-  return set_.count(t) > 0;
+  return set_.Contains(t);
 }
 
 size_t TripleStore::size() const {
@@ -198,7 +240,11 @@ std::shared_ptr<const StoreSnapshot> TripleStore::Snapshot() const {
       auto less = [order](const Triple& a, const Triple& b) {
         return LessInOrder(order, a, b);
       };
-      std::sort(batch.begin(), batch.end(), less);
+      SortRun(&batch, order);
+      if (base.empty()) {
+        *out = std::move(batch);
+        return;
+      }
       out->reserve(base.size() + batch.size());
       std::merge(base.begin(), base.end(), batch.begin(), batch.end(),
                  std::back_inserter(*out), less);
@@ -207,7 +253,9 @@ std::shared_ptr<const StoreSnapshot> TripleStore::Snapshot() const {
     const StoreSnapshot* base = snapshot_.get();
     merge(&next->spo_, base ? base->spo_ : kEmpty, pending_, ScanOrder::kSpo);
     merge(&next->pos_, base ? base->pos_ : kEmpty, pending_, ScanOrder::kPos);
-    merge(&next->osp_, base ? base->osp_ : kEmpty, pending_, ScanOrder::kOsp);
+    // The last permutation takes the pending buffer itself.
+    merge(&next->osp_, base ? base->osp_ : kEmpty, std::move(pending_),
+          ScanOrder::kOsp);
     pending_.clear();
     snapshot_ = std::move(next);
   }

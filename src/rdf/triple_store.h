@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_set>
 #include <vector>
 
 #include "rdf/dictionary.h"
@@ -55,13 +54,40 @@ class StoreSnapshot : public TripleSource,
   std::vector<Triple> spo_, pos_, osp_;
 };
 
+/// A flat open-addressing set of triples: one array of 12-byte slots,
+/// linear probing, at most 3/4 full, doubling when it would pass that.
+/// An empty slot holds kAnyTerm in `s`, an id no triple carries.
+class TripleSet {
+ public:
+  TripleSet() = default;
+  TripleSet(TripleSet&& other) noexcept;
+  TripleSet& operator=(TripleSet&& other) noexcept;
+
+  /// Adds `t`; returns false if it was already present.
+  bool Insert(const Triple& t);
+  bool Contains(const Triple& t) const;
+  size_t size() const { return size_; }
+
+ private:
+  /// The slot holding `t`, or the empty slot where it would go.
+  size_t Find(const Triple& t) const;
+  void Grow();
+
+  std::vector<Triple> slots_;  // size 0 or a power of two
+  size_t size_ = 0;
+};
+
 /// In-memory dictionary-encoded triple store with three collated
 /// permutation indexes (SPO, POS, OSP), which together answer every
 /// triple-pattern shape with a binary-searchable range. This is the
 /// standard architecture of RDF engines (RDF-3X-style, simplified).
 ///
-/// Writes are buffered and merged into a fresh immutable snapshot
-/// lazily on the next read, so bulk loading stays O(n log n) overall.
+/// Writes land in a flat TripleSet (the duplicate check) and a pending
+/// buffer. The next read sorts the pending buffer into each collation
+/// with SortRun and merges it with the previous snapshot into a fresh
+/// immutable one. A bulk load followed by a read is thus linear: one
+/// radix sort per permutation and nothing to merge. A read after every
+/// small write still copies the whole snapshot in that merge.
 /// Add/Snapshot/Scan may be called from any thread concurrently: the
 /// pending buffer and snapshot pointer are guarded by one mutex, and
 /// published snapshots are never mutated. (The dictionary is NOT
@@ -149,7 +175,7 @@ class TripleStore : public TripleSource {
   Dictionary dict_;
 
   mutable std::mutex mu_;  ///< guards set_, pending_, snapshot_
-  std::unordered_set<Triple, TripleHash> set_;
+  TripleSet set_;
   mutable std::vector<Triple> pending_;
   mutable std::shared_ptr<const StoreSnapshot> snapshot_;
 };

@@ -7,6 +7,7 @@
 #include "corpus/names.h"
 #include "corpus/relations.h"
 #include "corpus/world.h"
+#include "util/string_util.h"
 
 namespace kb {
 namespace corpus {
@@ -68,6 +69,39 @@ TEST(WorldTest, CanonicalNamesAreUnique) {
   for (const Entity& e : world.entities()) {
     EXPECT_TRUE(seen.insert(e.canonical).second) << e.canonical;
   }
+}
+
+/// The canonical-name rule probed from `_2` on every collision, as
+/// World::Generate first did it (quadratic in a popular name's count):
+/// the reference the resuming probe must reproduce.
+std::string LinearProbeCanonical(const std::string& display,
+                                 std::unordered_set<std::string>* used) {
+  std::string base = ReplaceAll(display, " ", "_");
+  std::string candidate = base;
+  int suffix = 1;
+  while (used->count(candidate) > 0) {
+    candidate = base + "_" + std::to_string(++suffix);
+  }
+  used->insert(candidate);
+  return candidate;
+}
+
+TEST(WorldTest, CanonicalNamesMatchLinearProbe) {
+  // Thousands of persons over the fixed name pools, and cities that
+  // mostly reuse an earlier name: most bases collide, many often.
+  WorldOptions options = SmallWorld();
+  options.num_persons = 6000;
+  options.num_cities = 300;
+  options.city_name_reuse = 0.8;
+  World world = World::Generate(options);
+  std::unordered_set<std::string> used;
+  size_t suffixed = 0;
+  for (const Entity& e : world.entities()) {
+    const std::string expected = LinearProbeCanonical(e.full_name, &used);
+    EXPECT_EQ(e.canonical, expected) << e.full_name;
+    if (expected != ReplaceAll(e.full_name, " ", "_")) ++suffixed;
+  }
+  EXPECT_GT(suffixed, world.entities().size() / 4);
 }
 
 TEST(WorldTest, FactsRespectRelationSignatures) {

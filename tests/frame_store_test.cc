@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -140,6 +141,42 @@ TEST(FrameStoreTest, ScansMatchAllPatternShapes) {
   check(TriplePattern{a, a, a});
 }
 
+TEST(FrameStoreTest, SerializeIsIndependentOfInputOrder) {
+  // One run below SortRun's radix cutoff and one well above it; the
+  // ids span two radix digits.
+  for (size_t n : {size_t{60}, 4 * rdf::kSortRunRadixMin}) {
+    const TermId num_terms = 3000;
+    Rng rng(n);
+    std::set<Triple> unique;
+    while (unique.size() < n) {
+      unique.insert(Triple(static_cast<TermId>(1 + rng.Uniform(num_terms)),
+                           static_cast<TermId>(1 + rng.Uniform(12)),
+                           static_cast<TermId>(1 + rng.Uniform(num_terms))));
+    }
+    const std::vector<Triple> spo(unique.begin(), unique.end());
+    std::vector<Triple> reversed(spo.rbegin(), spo.rend());
+    std::vector<Triple> shuffled = spo;
+    rng.Shuffle(&shuffled);
+    auto serialize = [num_terms](const std::vector<Triple>& triples) {
+      FrameStoreBuilder builder;
+      for (TermId id = 1; id <= num_terms; ++id) {
+        builder.AddTerm(Term::Iri(rdf::EntityIri("e" + std::to_string(id))));
+      }
+      for (const Triple& t : triples) builder.AddTriple(t);
+      auto bytes = builder.Serialize();
+      EXPECT_TRUE(bytes.ok()) << bytes.status();
+      return bytes.ok() ? *bytes : std::string();
+    };
+    const std::string expect = serialize(spo);
+    ASSERT_FALSE(expect.empty());
+    EXPECT_TRUE(serialize(reversed) == expect) << "n=" << n;
+    EXPECT_TRUE(serialize(shuffled) == expect) << "n=" << n;
+    auto store = AttachToString(expect);
+    ASSERT_TRUE(store.ok()) << store.status();
+    EXPECT_EQ((*store)->size(), n);
+  }
+}
+
 TEST(FrameStoreTest, CorruptionIsRefused) {
   FrameStoreBuilder builder;
   for (const Term& t : SampleTerms()) builder.AddTerm(t);
@@ -260,6 +297,51 @@ TEST(KbVolumeTest, CheckpointPreservesContentEpochAndMeta) {
 
   // Taxonomy survives the swap.
   EXPECT_GE(kb.NumClasses(), 1u);
+}
+
+TEST(KbVolumeTest, CheckpointMergesMetaLikeAMapOverlay) {
+  // Generation 1 carries a meta section; the writes after it re-assert
+  // some of its facts and add new ones that sort before, between and
+  // after its records. Generation 2's meta section must be the bytes
+  // the decode-into-a-map-and-overlay path gives.
+  std::string dir = TempDir("meta_merge");
+  auto volume = core::KbVolume::Open(nullptr, dir);
+  ASSERT_TRUE(volume.ok()) << volume.status();
+  Rng rng(5);
+  auto assert_random = [&rng](core::KnowledgeBase* kb, int entities) {
+    const std::string props[] = {"knows", "worksFor", "likes"};
+    core::FactMeta meta =
+        MetaWith(0.1 * static_cast<double>(1 + rng.Uniform(9)),
+                 static_cast<uint32_t>(1 + rng.Uniform(4)));
+    meta.extractor = static_cast<uint32_t>(rng.Uniform(8));
+    meta.valid_time.begin.year = static_cast<int32_t>(1900 + rng.Uniform(100));
+    kb->AssertFact("E" + std::to_string(rng.Uniform(entities)),
+                   props[rng.Uniform(3)],
+                   "E" + std::to_string(rng.Uniform(entities)), meta);
+  };
+  core::KnowledgeBase kb;
+  for (int i = 0; i < 300; ++i) assert_random(&kb, 40);
+  ASSERT_TRUE((*volume)->Checkpoint(&kb).ok());
+  for (int i = 0; i < 300; ++i) assert_random(&kb, 60);
+  kb.AssertYearFact("E1", "bornIn", 1970, MetaWith(1.0, 1));
+
+  std::string_view base_meta;
+  ASSERT_TRUE(kb.store().base()->section(FrameStore::kSectionFactMeta,
+                                         &base_meta));
+  std::map<Triple, core::FactMeta> overlay;
+  core::DecodeAllPackedMeta(base_meta, &overlay);
+  const size_t base_records = overlay.size();
+  for (const auto& [t, meta] : kb.meta_map()) overlay[t] = meta;
+  ASSERT_GT(overlay.size(), base_records);
+  ASSERT_LT(overlay.size(), base_records + kb.meta_map().size())
+      << "some writes must re-assert generation-1 facts";
+  const std::string expect = core::EncodePackedMeta(overlay);
+
+  ASSERT_TRUE((*volume)->Checkpoint(&kb).ok());
+  std::string_view got;
+  ASSERT_TRUE(kb.store().base()->section(FrameStore::kSectionFactMeta, &got));
+  EXPECT_TRUE(got == expect);
+  EXPECT_EQ(got.size(), overlay.size() * core::kPackedMetaRecordSize);
 }
 
 TEST(KbVolumeTest, LoadReplaysWritesFromEveryGeneration) {

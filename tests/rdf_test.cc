@@ -214,8 +214,95 @@ TEST_P(TripleStorePropertyTest, IndexAgreesWithFullScan) {
   }
 }
 
+TEST_P(TripleStorePropertyTest, AddContainsSizeAgreeWithSetModel) {
+  // ~4k distinct triples out of 12.8k possible: the flat set grows
+  // from 16 to 8,192 slots on the way, and many adds are repeats.
+  Rng rng(GetParam());
+  TripleStore store;
+  std::set<Triple> model;
+  auto random_triple = [&rng]() {
+    return Triple(static_cast<TermId>(1 + rng.Uniform(40)),
+                  static_cast<TermId>(1 + rng.Uniform(8)),
+                  static_cast<TermId>(1 + rng.Uniform(40)));
+  };
+  for (int i = 0; i < 5000; ++i) {
+    const Triple t = random_triple();
+    const bool fresh = model.insert(t).second;
+    EXPECT_EQ(store.Add(t), fresh);
+    EXPECT_FALSE(store.Add(t)) << "a duplicate Add must return false";
+    ASSERT_EQ(store.size(), model.size());
+    if (i % 97 == 0) {
+      for (int q = 0; q < 50; ++q) {
+        const Triple probe = random_triple();
+        EXPECT_EQ(store.Contains(probe), model.count(probe) > 0);
+      }
+    }
+  }
+  for (const Triple& t : model) EXPECT_TRUE(store.Contains(t));
+  EXPECT_EQ(store.Snapshot()->size(), model.size());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, TripleStorePropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// ---------------------------------------------------------------- SortRun
+
+/// std::sort with LessInOrder: the model SortRun must reproduce.
+std::vector<Triple> ModelSort(std::vector<Triple> run, ScanOrder order) {
+  std::sort(run.begin(), run.end(),
+            [order](const Triple& a, const Triple& b) {
+              return LessInOrder(order, a, b);
+            });
+  return run;
+}
+
+class SortRunPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SortRunPropertyTest, AgreesWithStdSortInEveryOrder) {
+  Rng rng(GetParam());
+  // Ids at or above 2^22 set bits in all three 11-bit digits, so the
+  // radix path skips no digit; ids below 64 leave two of them constant
+  // and repeat triples often.
+  auto wide = [&rng]() {
+    return static_cast<TermId>((1u << 22) +
+                               rng.Uniform(0xfffffffeu - (1u << 22)));
+  };
+  auto narrow = [&rng]() { return static_cast<TermId>(1 + rng.Uniform(63)); };
+  const size_t cutoff = kSortRunRadixMin;
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{100}, cutoff - 1,
+                   cutoff, cutoff + 1, 3 * cutoff + 17}) {
+    std::vector<std::vector<Triple>> runs(3);
+    for (size_t i = 0; i < n; ++i) {
+      runs[0].emplace_back(wide(), wide(), wide());
+      runs[1].emplace_back(narrow(), narrow(), narrow());
+      // Duplicates: every triple after the first copies an earlier one
+      // with probability 1/3.
+      if (i > 0 && rng.Uniform(3) == 0) {
+        runs[2].push_back(runs[2][rng.Uniform(runs[2].size())]);
+      } else {
+        runs[2].emplace_back(wide(), narrow(), wide());
+      }
+    }
+    for (ScanOrder order :
+         {ScanOrder::kSpo, ScanOrder::kPos, ScanOrder::kOsp}) {
+      for (const std::vector<Triple>& run : runs) {
+        const std::vector<Triple> expect = ModelSort(run, order);
+        std::vector<Triple> got = run;
+        SortRun(&got, order);
+        ASSERT_EQ(got, expect) << "n=" << n;
+        // Already sorted, and sorted backwards.
+        SortRun(&got, order);
+        ASSERT_EQ(got, expect) << "n=" << n;
+        std::reverse(got.begin(), got.end());
+        SortRun(&got, order);
+        ASSERT_EQ(got, expect) << "n=" << n;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SortRunPropertyTest,
+                         ::testing::Values(1, 2, 3));
 
 // ---------------------------------------------------------------- N-Triples
 
