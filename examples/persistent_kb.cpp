@@ -76,9 +76,9 @@ int main() {
     }
     // Provenance survives too.
     size_t with_meta = 0, with_span = 0;
-    for (const auto& [triple, meta] : (*kb)->meta_map()) {
+    for (const auto& entry : (*kb)->meta_map()) {
       ++with_meta;
-      if (meta.valid_time.valid()) ++with_span;
+      if (entry.meta.valid_time.valid()) ++with_span;
     }
     printf("[session 2] %zu facts carry provenance, %zu carry "
            "timespans\n",

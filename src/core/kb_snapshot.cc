@@ -69,12 +69,20 @@ void RecordMeta(const char* rec, FactMeta* out) {
 
 }  // namespace
 
-std::string EncodePackedMeta(const std::map<rdf::Triple, FactMeta>& metas,
+std::string EncodePackedMeta(const FactMetaTable& metas,
                              std::string_view base) {
   if (base.size() % kPackedMetaRecordSize != 0) base = std::string_view();
+  // Entries that only mirror a base record add nothing to the merge.
+  std::vector<rdf::Triple> keys;
+  keys.reserve(metas.size());
+  for (const FactMetaTable::Entry& entry : metas) {
+    if (!entry.from_base) keys.push_back(entry.triple);
+  }
+  rdf::SortRun(&keys, rdf::ScanOrder::kSpo);
   std::string out;
-  out.reserve(base.size() + metas.size() * kPackedMetaRecordSize);
-  auto put = [&out](const rdf::Triple& t, const FactMeta& meta) {
+  out.reserve(base.size() + keys.size() * kPackedMetaRecordSize);
+  auto put = [&out, &metas](const rdf::Triple& t) {
+    const FactMeta& meta = metas.Find(t)->meta;
     PutFixed32(&out, t.s);
     PutFixed32(&out, t.p);
     PutFixed32(&out, t.o);
@@ -91,22 +99,22 @@ std::string EncodePackedMeta(const std::map<rdf::Triple, FactMeta>& metas,
     put_date(meta.valid_time.begin);
     put_date(meta.valid_time.end);
   };
-  // One merge pass: std::map iterates in Triple order (s, p, o), the
-  // order the base records are in and LookupPackedMeta relies on. A
-  // base record is copied as it is unless `metas` overrides it.
-  auto it = metas.begin();
+  // One merge pass over the keys in SPO order, the (s, p, o) order the
+  // base records are in and LookupPackedMeta relies on. A base record is
+  // copied as it is unless `metas` overrides it.
+  auto it = keys.begin();
   for (size_t off = 0; off < base.size(); off += kPackedMetaRecordSize) {
     const char* rec = base.data() + off;
     const rdf::Triple t = RecordTriple(rec);
-    for (; it != metas.end() && it->first < t; ++it) put(it->first, it->second);
-    if (it != metas.end() && it->first == t) {
-      put(it->first, it->second);
+    for (; it != keys.end() && *it < t; ++it) put(*it);
+    if (it != keys.end() && *it == t) {
+      put(*it);
       ++it;
     } else {
       out.append(rec, kPackedMetaRecordSize);
     }
   }
-  for (; it != metas.end(); ++it) put(it->first, it->second);
+  for (; it != keys.end(); ++it) put(*it);
   return out;
 }
 
@@ -153,14 +161,10 @@ StatusOr<std::string> SerializeKbSnapshot(const KnowledgeBase& kb) {
       ++entities;
     }
   }
-  rdf::TriplePattern all;
-  kb.store().Scan(all, [&](const rdf::Triple& t) {
-    builder.AddTriple(t);
-    return true;
-  });
+  builder.AddTriples(kb.store().SpoTriples());
   // Metadata: the base snapshot's packed section (if any) overlaid
-  // with the in-memory dirty map, so merged support/confidence from
-  // this generation's writes survives the compaction.
+  // with the metadata written in memory, so merged support/confidence
+  // from this generation's writes survives the compaction.
   std::string_view base_meta;
   if (kb.store().base() != nullptr) {
     kb.store().base()->section(rdf::FrameStore::kSectionFactMeta,
@@ -278,16 +282,15 @@ StatusOr<KbVolume::LoadResult> KbVolume::Load(
     }
     // Deltas written while generation >= g was current, oldest first:
     // later generations carry the further-merged metadata, so they
-    // overwrite earlier replays.
+    // overwrite earlier replays. A snapshot KB derived its taxonomy as
+    // it booted, so only a replay makes a rebuild necessary.
+    bool replayed = g == 0;
     for (uint64_t dg : delta_gens) {
       if (dg < g) continue;
       KB_RETURN_IF_ERROR(ApplyDelta(dg, kb.get()));
+      replayed = true;
     }
-    if (g > 0) {
-      kb->RebuildTaxonomy();
-    } else {
-      kb->RebuildDerivedIndexes();
-    }
+    if (replayed) kb->RebuildTaxonomy();
     result.kb = std::move(kb);
     result.generation = g;
     result.from_snapshot = g > 0;

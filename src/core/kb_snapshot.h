@@ -21,11 +21,12 @@ struct SnapshotOpenOptions {
 };
 
 /// Serializes the KB's full merged view (snapshot base + delta) into
-/// one FrameStore blob: dictionary terms in id order, triples from the
-/// three permutation indexes, fact metadata packed into section 16 and
-/// the write epoch/entity count in the header. The KB must be
-/// quiesced — serialization reads store()/meta_map() outside the KB
-/// lock, like KbStorage::Save.
+/// one FrameStore blob: dictionary terms in id order, the triples in
+/// SPO order (TripleStore::SpoTriples, so each permutation is sorted
+/// once), fact metadata packed into section 16 and the write
+/// epoch/entity count in the header. The KB must be quiesced —
+/// serialization reads store()/meta_map() outside the KB lock, like
+/// KbStorage::Save.
 StatusOr<std::string> SerializeKbSnapshot(const KnowledgeBase& kb);
 
 /// SerializeKbSnapshot + atomic publish: bytes go to `path + ".tmp"`
@@ -123,11 +124,12 @@ class KbVolume {
 /// search away from the mapped bytes, no deserialization up front.
 constexpr size_t kPackedMetaRecordSize = 40;
 
-/// Packs `metas`, merged in one linear pass with the records of `base`
-/// (a section this encoder wrote earlier): a triple in both keeps its
-/// `metas` entry. A `base` whose size is not a whole number of records
-/// is ignored, as DecodeAllPackedMeta ignores it.
-std::string EncodePackedMeta(const std::map<rdf::Triple, FactMeta>& metas,
+/// Packs the written entries of `metas` (from_base ones are skipped),
+/// ordered by one SortRun pass and merged in one linear pass with the
+/// records of `base` (a section this encoder wrote earlier): a triple in
+/// both keeps its `metas` entry. A `base` whose size is not a whole
+/// number of records is ignored, as DecodeAllPackedMeta ignores it.
+std::string EncodePackedMeta(const FactMetaTable& metas,
                              std::string_view base = std::string_view());
 bool LookupPackedMeta(std::string_view section, const rdf::Triple& t,
                       FactMeta* out);

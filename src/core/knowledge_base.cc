@@ -1,5 +1,8 @@
 #include "core/knowledge_base.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "core/kb_snapshot.h"
 #include "util/string_util.h"
 
@@ -9,10 +12,44 @@ namespace core {
 using rdf::Term;
 using rdf::TermId;
 
+const FactMetaTable::Entry* FactMetaTable::Find(const rdf::Triple& t) const {
+  if (slots_.empty()) return nullptr;
+  const Slot& slot = slots_[FindSlot(t)];
+  return slot.entry == 0 ? nullptr : &entries_[slot.entry - 1];
+}
+
+FactMetaTable::Entry* FactMetaTable::FindOrAdd(const rdf::Triple& t,
+                                               bool* added) {
+  if (4 * (entries_.size() + 1) > 3 * slots_.size()) Grow();
+  Slot& slot = slots_[FindSlot(t)];
+  *added = slot.entry == 0;
+  if (*added) {
+    entries_.push_back(Entry{t, false, FactMeta()});
+    slot.triple = t;
+    slot.entry = static_cast<uint32_t>(entries_.size());
+  }
+  return &entries_[slot.entry - 1];
+}
+
+size_t FactMetaTable::FindSlot(const rdf::Triple& t) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = rdf::TripleHash()(t) & mask;
+  while (slots_[i].entry != 0 && !(slots_[i].triple == t)) i = (i + 1) & mask;
+  return i;
+}
+
+void FactMetaTable::Grow() {
+  std::vector<Slot> old = std::exchange(
+      slots_, std::vector<Slot>(std::max<size_t>(16, 2 * slots_.size())));
+  for (const Slot& slot : old) {
+    if (slot.entry != 0) slots_[FindSlot(slot.triple)] = slot;
+  }
+}
+
 KnowledgeBase::KnowledgeBase() {
-  rdf_type_ = store_.dict().InternIri(std::string(rdf::kRdfType));
-  rdfs_subclass_ = store_.dict().InternIri(std::string(rdf::kRdfsSubClassOf));
-  rdfs_label_ = store_.dict().InternIri(std::string(rdf::kRdfsLabel));
+  rdf_type_ = store_.dict().InternIri(rdf::kRdfType);
+  rdfs_subclass_ = store_.dict().InternIri(rdf::kRdfsSubClassOf);
+  rdfs_label_ = store_.dict().InternIri(rdf::kRdfsLabel);
 }
 
 KnowledgeBase::KnowledgeBase(std::shared_ptr<const rdf::FrameStore> base)
@@ -25,9 +62,9 @@ KnowledgeBase::KnowledgeBase(std::shared_ptr<const rdf::FrameStore> base)
   }
   // The builtins are in every non-trivial snapshot, so these hit the
   // base catalog instead of growing the overlay.
-  rdf_type_ = store_.dict().InternIri(std::string(rdf::kRdfType));
-  rdfs_subclass_ = store_.dict().InternIri(std::string(rdf::kRdfsSubClassOf));
-  rdfs_label_ = store_.dict().InternIri(std::string(rdf::kRdfsLabel));
+  rdf_type_ = store_.dict().InternIri(rdf::kRdfType);
+  rdfs_subclass_ = store_.dict().InternIri(rdf::kRdfsSubClassOf);
+  rdfs_label_ = store_.dict().InternIri(rdf::kRdfsLabel);
   RebuildTaxonomyLocked();  // construction: no concurrent access yet
 }
 
@@ -38,60 +75,46 @@ std::unique_ptr<KnowledgeBase> KnowledgeBase::FromSnapshot(
 
 KnowledgeBase::KnowledgeBase(KnowledgeBase&& other) noexcept {
   std::lock_guard<std::mutex> lock(other.mu_);
-  epoch_.store(other.epoch_.load(std::memory_order_acquire),
-               std::memory_order_release);
-  store_ = std::move(other.store_);
-  taxonomy_ = std::move(other.taxonomy_);
-  entity_terms_ = std::move(other.entity_terms_);
-  meta_ = std::move(other.meta_);
-  rdf_type_ = other.rdf_type_;
-  rdfs_subclass_ = other.rdfs_subclass_;
-  rdfs_label_ = other.rdfs_label_;
-  base_ = std::move(other.base_);
-  base_meta_ = other.base_meta_;
-  base_entity_count_ = other.base_entity_count_;
-  new_entity_count_ = other.new_entity_count_;
-  base_meta_cache_ = std::move(other.base_meta_cache_);
+  MoveFromLocked(&other);
 }
 
 KnowledgeBase& KnowledgeBase::operator=(KnowledgeBase&& other) noexcept {
   if (this == &other) return *this;
   std::scoped_lock lock(mu_, other.mu_);
-  epoch_.store(other.epoch_.load(std::memory_order_acquire),
-               std::memory_order_release);
-  store_ = std::move(other.store_);
-  taxonomy_ = std::move(other.taxonomy_);
-  entity_terms_ = std::move(other.entity_terms_);
-  meta_ = std::move(other.meta_);
-  rdf_type_ = other.rdf_type_;
-  rdfs_subclass_ = other.rdfs_subclass_;
-  rdfs_label_ = other.rdfs_label_;
-  base_ = std::move(other.base_);
-  base_meta_ = other.base_meta_;
-  other.base_meta_ = std::string_view();
-  base_entity_count_ = other.base_entity_count_;
-  new_entity_count_ = other.new_entity_count_;
-  base_meta_cache_ = std::move(other.base_meta_cache_);
+  MoveFromLocked(&other);
   return *this;
 }
 
-TermId KnowledgeBase::EntityTermLocked(const std::string& canonical) {
-  auto it = entity_terms_.find(canonical);
-  if (it != entity_terms_.end()) return it->second;
-  TermId id = store_.dict().InternIri(rdf::EntityIri(canonical));
-  entity_terms_.emplace(canonical, id);
-  // Over a snapshot base, entity_terms_ is a lazy cache rather than the
-  // full roster, so new entities are counted as they first appear.
-  if (base_ != nullptr && id > store_.dict().base_size()) ++new_entity_count_;
+void KnowledgeBase::MoveFromLocked(KnowledgeBase* other) {
+  epoch_.store(other->epoch_.load(std::memory_order_acquire),
+               std::memory_order_release);
+  store_ = std::move(other->store_);
+  taxonomy_ = std::move(other->taxonomy_);
+  meta_ = std::exchange(other->meta_, FactMetaTable());
+  rdf_type_ = other->rdf_type_;
+  rdfs_subclass_ = other->rdfs_subclass_;
+  rdfs_label_ = other->rdfs_label_;
+  base_ = std::move(other->base_);
+  // The source must not keep a view into a mapping it no longer owns.
+  base_meta_ = std::exchange(other->base_meta_, std::string_view());
+  base_entity_count_ = std::exchange(other->base_entity_count_, 0);
+  new_entity_count_.store(other->new_entity_count_.exchange(0),
+                          std::memory_order_relaxed);
+}
+
+TermId KnowledgeBase::EntityTermLocked(std::string_view canonical) {
+  const size_t known = store_.dict().size();
+  const TermId id = store_.dict().InternIri(rdf::kEntityNs, canonical);
+  if (id > known) new_entity_count_.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
 
-TermId KnowledgeBase::PropertyTermLocked(const std::string& local_name) {
-  return store_.dict().InternIri(rdf::PropertyIri(local_name));
+TermId KnowledgeBase::PropertyTermLocked(std::string_view local_name) {
+  return store_.dict().InternIri(rdf::kPropertyNs, local_name);
 }
 
-TermId KnowledgeBase::ClassTermLocked(const std::string& class_name) {
-  return store_.dict().InternIri(rdf::ClassIri(class_name));
+TermId KnowledgeBase::ClassTermLocked(std::string_view class_name) {
+  return store_.dict().InternIri(rdf::kClassNs, class_name);
 }
 
 TermId KnowledgeBase::EntityTerm(const std::string& canonical) {
@@ -130,22 +153,22 @@ void KnowledgeBase::AssertSubclass(const std::string& sub,
 bool KnowledgeBase::InsertMetaLocked(const rdf::Triple& t,
                                      const FactMeta& meta,
                                      bool merge_valid_time) {
-  auto it = meta_.lower_bound(t);
-  if (it == meta_.end() || !(it->first == t)) {
-    // A re-asserted snapshot fact merges into its packed base metadata,
-    // not a blank slate: seed the in-memory entry from the base first.
-    const FactMeta* inherited = BaseMetaLocked(t);
-    if (inherited == nullptr) {
-      meta_.emplace_hint(it, t, meta);
-      return true;
-    }
-    it = meta_.emplace_hint(it, t, *inherited);
+  bool added = false;
+  FactMetaTable::Entry* entry = meta_.FindOrAdd(t, &added);
+  // A re-asserted snapshot fact merges into its packed base metadata,
+  // not a blank slate: seed a new entry from the base first.
+  if (added &&
+      (base_meta_.empty() || !LookupPackedMeta(base_meta_, t, &entry->meta))) {
+    entry->meta = meta;
+    return true;
   }
-  it->second.confidence = std::max(it->second.confidence, meta.confidence);
-  it->second.support += meta.support;
-  if (merge_valid_time && !it->second.valid_time.valid() &&
+  entry->from_base = false;
+  FactMeta& merged = entry->meta;
+  merged.confidence = std::max(merged.confidence, meta.confidence);
+  merged.support += meta.support;
+  if (merge_valid_time && !merged.valid_time.valid() &&
       meta.valid_time.valid()) {
-    it->second.valid_time = meta.valid_time;
+    merged.valid_time = meta.valid_time;
   }
   return false;
 }
@@ -187,38 +210,33 @@ void KnowledgeBase::AssertLabel(const std::string& canonical,
 
 const FactMeta* KnowledgeBase::MetaOf(const rdf::Triple& triple) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = meta_.find(triple);
-  if (it != meta_.end()) return &it->second;
-  return BaseMetaLocked(triple);
-}
-
-const FactMeta* KnowledgeBase::BaseMetaLocked(const rdf::Triple& t) const {
-  if (base_meta_.empty()) return nullptr;
-  auto it = base_meta_cache_.find(t);
-  if (it != base_meta_cache_.end()) return &it->second;
+  if (const FactMetaTable::Entry* entry = meta_.Find(triple)) {
+    return &entry->meta;
+  }
+  // A snapshot fact's packed record is decoded into the table on first
+  // access, so the pointer outlives this call.
   FactMeta meta;
-  if (!LookupPackedMeta(base_meta_, t, &meta)) return nullptr;
-  return &base_meta_cache_.emplace(t, meta).first->second;
+  if (base_meta_.empty() || !LookupPackedMeta(base_meta_, triple, &meta)) {
+    return nullptr;
+  }
+  bool added = false;
+  FactMetaTable::Entry* entry = meta_.FindOrAdd(triple, &added);
+  entry->from_base = true;
+  entry->meta = meta;
+  return &entry->meta;
 }
 
 void KnowledgeBase::AddTripleWithMeta(const rdf::Triple& triple,
                                       const FactMeta* meta) {
   std::lock_guard<std::mutex> lock(mu_);
   store_.Add(triple);
-  if (meta != nullptr) meta_[triple] = *meta;
-  BumpEpoch();
-}
-
-void KnowledgeBase::RebuildDerivedIndexes() {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Entity IRIs from the dictionary.
-  for (rdf::TermId id = 1; id <= store_.dict().size(); ++id) {
-    const rdf::Term& term = store_.dict().term(id);
-    if (term.is_iri() && StartsWith(term.value(), rdf::kEntityNs)) {
-      entity_terms_[term.value().substr(rdf::kEntityNs.size())] = id;
-    }
+  if (meta != nullptr) {
+    bool added = false;
+    FactMetaTable::Entry* entry = meta_.FindOrAdd(triple, &added);
+    entry->from_base = false;
+    entry->meta = *meta;
   }
-  RebuildTaxonomyLocked();
+  BumpEpoch();
 }
 
 void KnowledgeBase::RebuildTaxonomy() {
@@ -227,21 +245,18 @@ void KnowledgeBase::RebuildTaxonomy() {
 }
 
 void KnowledgeBase::RebuildTaxonomyLocked() {
-  if (base_ != nullptr) {
-    // Delta replay interns terms through the dictionary directly, so
-    // recount overlay entities from the overlay id range (never the
-    // base range — that would defeat the lazy cold-start).
-    size_t overlay_entities = 0;
-    for (rdf::TermId id = store_.dict().base_size() + 1;
-         id <= store_.dict().size(); ++id) {
-      const rdf::Term& term = store_.dict().term(id);
-      if (term.is_iri() && StartsWith(term.value(), rdf::kEntityNs)) {
-        entity_terms_[term.value().substr(rdf::kEntityNs.size())] = id;
-        ++overlay_entities;
-      }
+  // Bulk loads and delta replay intern terms through the dictionary
+  // directly, so recount entities over the overlay id range (never the
+  // base range: that would defeat the lazy cold start).
+  size_t overlay_entities = 0;
+  for (rdf::TermId id = store_.dict().base_size() + 1;
+       id <= store_.dict().size(); ++id) {
+    const rdf::Term& term = store_.dict().term(id);
+    if (term.is_iri() && StartsWith(term.value(), rdf::kEntityNs)) {
+      ++overlay_entities;
     }
-    new_entity_count_ = overlay_entities;
   }
+  new_entity_count_.store(overlay_entities, std::memory_order_relaxed);
   auto class_name = [&](rdf::TermId id) -> std::string {
     const rdf::Term& term = store_.dict().term(id);
     if (!term.is_iri() || !StartsWith(term.value(), rdf::kClassNs)) {

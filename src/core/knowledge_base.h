@@ -2,10 +2,10 @@
 #define KBFORGE_CORE_KNOWLEDGE_BASE_H_
 
 #include <atomic>
-#include <map>
+#include <deque>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "query/engine.h"
@@ -25,6 +25,46 @@ struct FactMeta {
   uint32_t support = 1;     ///< number of supporting occurrences
   uint32_t extractor = 0;   ///< rdf::ExtractorId
   TimeSpan valid_time;
+};
+
+/// Fact metadata keyed by triple: a flat open-addressing index (16-byte
+/// slots of triple and entry number, linear probing, at most 3/4 full)
+/// over entries kept in insertion order. Entries never move, so a
+/// FactMeta* stays valid while other facts are added; only the index is
+/// rebuilt when it grows.
+class FactMetaTable {
+ public:
+  struct Entry {
+    rdf::Triple triple;
+    /// True while the entry only mirrors the snapshot base's packed
+    /// record (decoded for a MetaOf read); a write to the fact clears
+    /// it.
+    bool from_base = false;
+    FactMeta meta;
+  };
+
+  /// The entry for `t`, or nullptr.
+  const Entry* Find(const rdf::Triple& t) const;
+  /// The entry for `t`, appended with default metadata when absent;
+  /// `*added` says which.
+  Entry* FindOrAdd(const rdf::Triple& t, bool* added);
+
+  size_t size() const { return entries_.size(); }
+  std::deque<Entry>::const_iterator begin() const { return entries_.begin(); }
+  std::deque<Entry>::const_iterator end() const { return entries_.end(); }
+
+ private:
+  struct Slot {
+    rdf::Triple triple;
+    uint32_t entry = 0;  ///< index into entries_ + 1; 0 = empty
+  };
+
+  /// The slot holding `t`, or the empty slot where it would go.
+  size_t FindSlot(const rdf::Triple& t) const;
+  void Grow();
+
+  std::deque<Entry> entries_;
+  std::vector<Slot> slots_;  // size 0 or a power of two
 };
 
 /// The assembled knowledge base: dictionary-encoded triples, a class
@@ -95,32 +135,31 @@ class KnowledgeBase {
   void AssertLabel(const std::string& canonical, const std::string& label,
                    const std::string& lang);
 
-  /// Metadata for a triple (nullptr if untracked).
+  /// Metadata for a triple (nullptr if untracked). The pointer stays
+  /// valid until the KB is moved from or destroyed.
   const FactMeta* MetaOf(const rdf::Triple& triple) const;
 
-  /// All tracked fact metadata (used by persistence).
-  const std::map<rdf::Triple, FactMeta>& meta_map() const { return meta_; }
+  /// The fact metadata held in memory (used by persistence): every fact
+  /// asserted or loaded into this KB, plus, flagged from_base, snapshot
+  /// facts whose packed record MetaOf has decoded.
+  const FactMetaTable& meta_map() const { return meta_; }
 
   /// Bulk-load path for persistence: inserts a raw triple (ids must be
   /// valid in this KB's dictionary) with optional metadata, bypassing
   /// the canonical-name APIs.
   void AddTripleWithMeta(const rdf::Triple& triple, const FactMeta* meta);
 
-  /// Rebuilds the entity-name map and taxonomy from the triple store
-  /// (after a bulk load): entity IRIs, rdf:type classes and
-  /// rdfs:subClassOf edges are re-derived.
-  void RebuildDerivedIndexes();
-
-  /// Re-derives only the taxonomy, from indexed rdf:type and
-  /// rdfs:subClassOf scans — the cheap subset of RebuildDerivedIndexes
-  /// used after a delta replay over a snapshot base (entity terms stay
-  /// lazy there).
+  /// Re-derives what a bulk load or a delta replay bypasses: the
+  /// taxonomy, from indexed rdf:type and rdfs:subClassOf scans, and the
+  /// entity count, by recounting the entity IRIs of the dictionary's
+  /// overlay range (all of a plain KB's terms; a snapshot base's range
+  /// is counted in its header, so cold start stays lazy).
   void RebuildTaxonomy();
 
-  /// Number of distinct entity IRIs typed or used as subjects.
+  /// Number of distinct entity IRIs in the dictionary. O(1).
   size_t NumEntities() const {
-    return base_ != nullptr ? base_entity_count_ + new_entity_count_
-                            : entity_terms_.size();
+    return base_entity_count_ +
+           new_entity_count_.load(std::memory_order_relaxed);
   }
   size_t NumTriples() const { return store_.size(); }
   size_t NumClasses() const { return taxonomy_.size(); }
@@ -161,13 +200,14 @@ class KnowledgeBase {
  private:
   explicit KnowledgeBase(std::shared_ptr<const rdf::FrameStore> base);
 
-  rdf::TermId EntityTermLocked(const std::string& canonical);
-  rdf::TermId PropertyTermLocked(const std::string& local_name);
-  rdf::TermId ClassTermLocked(const std::string& class_name);
+  rdf::TermId EntityTermLocked(std::string_view canonical);
+  rdf::TermId PropertyTermLocked(std::string_view local_name);
+  rdf::TermId ClassTermLocked(std::string_view class_name);
   bool InsertMetaLocked(const rdf::Triple& t, const FactMeta& meta,
                         bool merge_valid_time);
-  const FactMeta* BaseMetaLocked(const rdf::Triple& t) const;
   void RebuildTaxonomyLocked();
+  /// Takes over `other`'s state and leaves it empty; both locks held.
+  void MoveFromLocked(KnowledgeBase* other);
 
   void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
 
@@ -179,20 +219,22 @@ class KnowledgeBase {
   std::atomic<uint64_t> epoch_{0};
   rdf::TripleStore store_;
   taxonomy::Taxonomy taxonomy_;
-  std::unordered_map<std::string, rdf::TermId> entity_terms_;
-  std::map<rdf::Triple, FactMeta> meta_;
+  /// Written under mu_, also by MetaOf, which decodes base records
+  /// into it on first access.
+  mutable FactMetaTable meta_;
   rdf::TermId rdf_type_;
   rdf::TermId rdfs_subclass_;
   rdf::TermId rdfs_label_;
 
   /// Snapshot-boot state (null/empty for a plain KB). base_meta_ views
-  /// the snapshot's packed meta section; decoded entries are cached in
-  /// base_meta_cache_ under mu_ on first access.
+  /// the snapshot's packed meta section; base_entity_count_ is the
+  /// snapshot header's entity count.
   std::shared_ptr<const rdf::FrameStore> base_;
   std::string_view base_meta_;
   size_t base_entity_count_ = 0;
-  size_t new_entity_count_ = 0;
-  mutable std::map<rdf::Triple, FactMeta> base_meta_cache_;
+  /// Entity IRIs in the dictionary's overlay range. Written under mu_;
+  /// NumEntities reads it without the lock.
+  std::atomic<size_t> new_entity_count_{0};
 };
 
 }  // namespace core

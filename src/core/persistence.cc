@@ -129,14 +129,16 @@ Status KbStorage::Save(const KnowledgeBase& kb) {
 Status KbStorage::SaveOverlay(const KnowledgeBase& kb) {
   const rdf::Dictionary& dict = kb.store().dict();
   // Triples to persist: the in-memory delta, plus base triples whose
-  // metadata was touched (meta_map holds exactly the dirty set).
+  // metadata was written (meta_map entries not flagged from_base).
   std::set<rdf::Triple> triples;
   auto delta = kb.store().Snapshot();  // delta-only on hybrid stores
   rdf::TriplePattern all;
   for (auto it = delta->NewScan(all); it->Valid(); it->Next()) {
     triples.insert(it->Value());
   }
-  for (const auto& [t, meta] : kb.meta_map()) triples.insert(t);
+  for (const FactMetaTable::Entry& entry : kb.meta_map()) {
+    if (!entry.from_base) triples.insert(entry.triple);
+  }
   // Terms: every overlay id, plus every id the persisted triples
   // reference (base ids are stable against the same snapshot, and the
   // text makes the delta replayable without any snapshot at all).
@@ -164,7 +166,7 @@ Status KbStorage::SaveOverlay(const KnowledgeBase& kb) {
 StatusOr<std::unique_ptr<KnowledgeBase>> KbStorage::Load() {
   auto kb = std::make_unique<KnowledgeBase>();
   KB_RETURN_IF_ERROR(ApplyInto(kb.get()));
-  kb->RebuildDerivedIndexes();
+  kb->RebuildTaxonomy();
   return kb;
 }
 

@@ -1,5 +1,6 @@
 #include "rdf/dictionary.h"
 
+#include <algorithm>
 #include <mutex>
 #include <utility>
 
@@ -43,41 +44,77 @@ Dictionary& Dictionary::operator=(Dictionary&& other) noexcept {
   base_size_ = other.base_size_;
   base_cache_ = std::move(other.base_cache_);
   terms_ = std::move(other.terms_);
-  index_ = std::move(other.index_);
+  slots_ = std::exchange(other.slots_, {});
   other.base_size_ = 0;
   other.terms_.clear();
-  other.index_.clear();
   return *this;
 }
 
 TermId Dictionary::Intern(const Term& term) {
-  if (base_ != nullptr) {
-    TermId id = base_->CatalogLookup(term);
-    if (id != kInvalidTermId) return id;
-  }
-  std::string key = term.ToString();
+  return InternKey(TermKey::Of(term), &term);
+}
+
+TermId Dictionary::InternIri(std::string_view ns, std::string_view local) {
+  return InternKey(TermKey::Iri(ns, local), nullptr);
+}
+
+TermId Dictionary::InternKey(const TermKey& key, const Term* term) {
+  TermId id = LookupBase(key);
+  if (id != kInvalidTermId) return id;
   {
     std::shared_lock<std::shared_mutex> read_lock(mu_);
-    auto it = index_.find(key);
-    if (it != index_.end()) return it->second;
+    if (!slots_.empty()) {
+      id = slots_[FindSlot(key)].id;
+      if (id != kInvalidTermId) return id;
+    }
   }
   std::unique_lock<std::shared_mutex> write_lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) return it->second;
-  TermId id = static_cast<TermId>(base_size_ + terms_.size() + 1);
-  terms_.push_back(term);
-  index_.emplace(std::move(key), id);
-  return id;
+  if (2 * (terms_.size() + 1) > slots_.size()) Grow();
+  Slot& slot = slots_[FindSlot(key)];
+  if (slot.id != kInvalidTermId) return slot.id;
+  terms_.push_back(term != nullptr ? *term : key.ToTerm());
+  slot.id = static_cast<TermId>(base_size_ + terms_.size());
+  slot.hash = static_cast<uint32_t>(key.hash);
+  return slot.id;
 }
 
 TermId Dictionary::Lookup(const Term& term) const {
-  if (base_ != nullptr) {
-    TermId id = base_->CatalogLookup(term);
-    if (id != kInvalidTermId) return id;
-  }
+  const TermKey key = TermKey::Of(term);
+  TermId id = LookupBase(key);
+  if (id != kInvalidTermId) return id;
   std::shared_lock<std::shared_mutex> read_lock(mu_);
-  auto it = index_.find(term.ToString());
-  return it == index_.end() ? kInvalidTermId : it->second;
+  return slots_.empty() ? kInvalidTermId : slots_[FindSlot(key)].id;
+}
+
+TermId Dictionary::LookupBase(const TermKey& key) const {
+  return base_ != nullptr ? base_->CatalogLookup(key) : kInvalidTermId;
+}
+
+size_t Dictionary::FindSlot(const TermKey& key) const {
+  const size_t mask = slots_.size() - 1;
+  const uint32_t tag = static_cast<uint32_t>(key.hash);
+  size_t i = key.hash & mask;
+  while (slots_[i].id != kInvalidTermId &&
+         !(slots_[i].hash == tag &&
+           key.Matches(terms_[slots_[i].id - base_size_ - 1]))) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void Dictionary::Grow() {
+  const size_t n = std::max<size_t>(16, 2 * slots_.size());
+  // A slot keeps 32 bits of its hash: enough to place it in any table
+  // of up to 2^32 slots.
+  KB_CHECK(uint64_t{n} <= (uint64_t{1} << 32))
+      << "dictionary overlay too large";
+  std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(n));
+  for (const Slot& slot : old) {
+    if (slot.id == kInvalidTermId) continue;
+    size_t i = slot.hash & (n - 1);
+    while (slots_[i].id != kInvalidTermId) i = (i + 1) & (n - 1);
+    slots_[i] = slot;
+  }
 }
 
 const Term& Dictionary::term(TermId id) const {

@@ -7,7 +7,8 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <vector>
 
 #include "rdf/term.h"
 
@@ -34,8 +35,9 @@ class TermCatalog {
   /// Materializes the term for an id in [1, catalog_size()].
   virtual Term CatalogTerm(TermId id) const = 0;
 
-  /// Id of `term` in the catalog, or kInvalidTermId if absent.
-  virtual TermId CatalogLookup(const Term& term) const = 0;
+  /// Id of the term `key` names in the catalog, or kInvalidTermId if
+  /// absent. `key.hash` is HashTermParts of the key's parts.
+  virtual TermId CatalogLookup(const TermKey& key) const = 0;
 };
 
 /// Bidirectional mapping between RDF terms and dense ids. Dictionary
@@ -45,6 +47,11 @@ class TermCatalog {
 /// A Dictionary may sit on top of an immutable TermCatalog base: base
 /// ids are served from the catalog (materialized lazily, cached), and
 /// newly interned terms get overlay ids starting at base_size()+1.
+/// The overlay's index is a flat open-addressing table of ids keyed by
+/// HashTermParts, the hash the .kbsnap dict index uses, so a lookup
+/// hashes its term once and probes the catalog and the overlay with the
+/// same value. IRIs can be interned by (namespace, local name) parts;
+/// the joined string is built only when the IRI is new.
 ///
 /// Thread safety: Lookup()/term()/size() may run concurrently with one
 /// another and with Intern(). Intern() calls are serialized against
@@ -67,6 +74,9 @@ class Dictionary {
   /// Returns the id for `term`, interning it if new.
   TermId Intern(const Term& term);
 
+  /// Returns the id of the IRI `ns` + `local`, interning it if new.
+  TermId InternIri(std::string_view ns, std::string_view local = {});
+
   /// Returns the id if present, kInvalidTermId otherwise.
   TermId Lookup(const Term& term) const;
 
@@ -81,12 +91,24 @@ class Dictionary {
 
   const std::shared_ptr<const TermCatalog>& base() const { return base_; }
 
-  /// Convenience: intern an IRI string.
-  TermId InternIri(std::string iri) {
-    return Intern(Term::Iri(std::move(iri)));
-  }
-
  private:
+  /// One overlay index slot: the id (kInvalidTermId = empty) and the
+  /// low 32 bits of its term's hash, which place the id again when the
+  /// table grows and skip most mismatching terms without touching them.
+  struct Slot {
+    TermId id = kInvalidTermId;
+    uint32_t hash = 0;
+  };
+
+  /// Interns the term `key` names; `term` is that term when the caller
+  /// has one, else it is built from the key on a miss.
+  TermId InternKey(const TermKey& key, const Term* term);
+  /// Base catalog id of `key`, or kInvalidTermId.
+  TermId LookupBase(const TermKey& key) const;
+  /// Index of the slot holding `key`'s id, or of the empty slot where
+  /// it would go. Needs mu_ and a non-empty table.
+  size_t FindSlot(const TermKey& key) const;
+  void Grow();
   const Term& BaseTerm(TermId id) const;
   void DestroyBaseCache();
 
@@ -97,9 +119,10 @@ class Dictionary {
   /// copy, so readers can hold the reference without any lock.
   mutable std::unique_ptr<std::atomic<const Term*>[]> base_cache_;
 
-  mutable std::shared_mutex mu_;                   // guards the overlay
-  std::deque<Term> terms_;                         // overlay, id-ordered
-  std::unordered_map<std::string, TermId> index_;  // ToString() -> id
+  mutable std::shared_mutex mu_;  // guards the overlay
+  std::deque<Term> terms_;        // overlay, id-ordered
+  /// Overlay index: size 0 or a power of two, at most half full.
+  std::vector<Slot> slots_;
 };
 
 }  // namespace rdf

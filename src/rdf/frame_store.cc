@@ -25,15 +25,6 @@ constexpr size_t kOffNumEntities = 40;
 constexpr size_t kOffSectionCount = 48;
 constexpr size_t kOffHeaderCrc = 52;
 
-// Term-record kind codes (distinct from TermKind: literals split by
-// their annotation so the record alone decides what `extra` means).
-constexpr uint32_t kKindIri = 0;
-constexpr uint32_t kKindPlainLiteral = 1;
-constexpr uint32_t kKindLangLiteral = 2;
-constexpr uint32_t kKindTypedLiteral = 3;
-constexpr uint32_t kKindBlank = 4;
-constexpr uint32_t kMaxKindCode = 4;
-
 constexpr size_t kMaxSectionCount = 1024;
 
 // Unaligned little-endian loads. memcpy keeps this strict-aliasing and
@@ -63,26 +54,6 @@ std::string PackRun(const std::vector<Triple>& run) {
     p += FrameStore::kTripleRecordSize;
   }
   return bytes;
-}
-
-uint32_t KindCode(const Term& term) {
-  switch (term.kind()) {
-    case TermKind::kIri:
-      return kKindIri;
-    case TermKind::kBlank:
-      return kKindBlank;
-    case TermKind::kLiteral:
-      if (!term.language().empty()) return kKindLangLiteral;
-      if (!term.datatype().empty()) return kKindTypedLiteral;
-      return kKindPlainLiteral;
-  }
-  return kKindIri;
-}
-
-std::string_view ExtraOf(const Term& term, uint32_t code) {
-  if (code == kKindLangLiteral) return term.language();
-  if (code == kKindTypedLiteral) return term.datatype();
-  return std::string_view();
 }
 
 size_t AlignUp8(size_t n) { return (n + 7) & ~static_cast<size_t>(7); }
@@ -152,36 +123,31 @@ class FrameScanIterator : public ScanIterator {
 
 }  // namespace
 
-uint64_t HashTermParts(uint8_t kind_code, std::string_view value,
-                       std::string_view extra) {
-  uint64_t h = Hash64(&kind_code, 1);
-  h = Hash64(value.data(), value.size(), h);
-  // Separator so ("ab","c") and ("a","bc") can't collide structurally.
-  const char sep = '\0';
-  h = Hash64(&sep, 1, h);
-  h = Hash64(extra.data(), extra.size(), h);
-  return h;
-}
-
 // ---------------------------------------------------------------------------
 // FrameStoreBuilder
 
 TermId FrameStoreBuilder::AddTerm(const Term& term) {
-  uint32_t code = KindCode(term);
-  std::string_view extra = ExtraOf(term, code);
-  PutFixed32(&term_records_, code);
+  const TermKey key = TermKey::Of(term);
+  PutFixed32(&term_records_, key.code);
   PutFixed32(&term_records_, static_cast<uint32_t>(arena_.size()));
-  PutFixed32(&term_records_, static_cast<uint32_t>(term.value().size()));
-  arena_.append(term.value());
+  PutFixed32(&term_records_, static_cast<uint32_t>(key.head.size()));
+  arena_.append(key.head);
   PutFixed32(&term_records_, static_cast<uint32_t>(arena_.size()));
-  PutFixed32(&term_records_, static_cast<uint32_t>(extra.size()));
-  arena_.append(extra);
-  term_hashes_.push_back(
-      HashTermParts(static_cast<uint8_t>(code), term.value(), extra));
+  PutFixed32(&term_records_, static_cast<uint32_t>(key.extra.size()));
+  arena_.append(key.extra);
+  term_hashes_.push_back(key.hash);
   return static_cast<TermId>(++num_terms_);
 }
 
 void FrameStoreBuilder::AddTriple(const Triple& t) { triples_.push_back(t); }
+
+void FrameStoreBuilder::AddTriples(std::vector<Triple> run) {
+  if (triples_.empty()) {
+    triples_ = std::move(run);
+  } else {
+    triples_.insert(triples_.end(), run.begin(), run.end());
+  }
+}
 
 void FrameStoreBuilder::SetSection(uint32_t id, std::string bytes) {
   KB_CHECK(id >= FrameStore::kFirstOpaqueSection)
@@ -442,7 +408,7 @@ Status FrameStore::VerifyStructure() const {
         static_cast<uint64_t>(LoadU32(rec + 4)) + LoadU32(rec + 8);
     uint64_t extra_end =
         static_cast<uint64_t>(LoadU32(rec + 12)) + LoadU32(rec + 16);
-    if (code > kMaxKindCode || value_end > arena_size_ ||
+    if (code > kMaxTermCode || value_end > arena_size_ ||
         extra_end > arena_size_) {
       return Status::Corruption("term record " + std::to_string(i + 1) +
                                 " malformed");
@@ -474,12 +440,12 @@ FrameStore::TermView FrameStore::term_view(TermId id) const {
       term_records_ + (static_cast<size_t>(id) - 1) * kTermRecordSize;
   uint32_t code = LoadU32(rec);
   TermView view;
-  view.kind = code == kKindIri
+  view.kind = code == kCodeIri
                   ? TermKind::kIri
-                  : (code == kKindBlank ? TermKind::kBlank
+                  : (code == kCodeBlank ? TermKind::kBlank
                                         : TermKind::kLiteral);
-  view.has_language = code == kKindLangLiteral;
-  view.has_datatype = code == kKindTypedLiteral;
+  view.has_language = code == kCodeLangLiteral;
+  view.has_datatype = code == kCodeTypedLiteral;
   view.value = std::string_view(arena_ + LoadU32(rec + 4), LoadU32(rec + 8));
   view.extra =
       std::string_view(arena_ + LoadU32(rec + 12), LoadU32(rec + 16));
@@ -538,26 +504,18 @@ std::string FrameStore::RenderTerm(TermId id) const {
   return out;
 }
 
-TermId FrameStore::LookupTerm(const Term& term) const {
-  uint32_t code = KindCode(term);
-  std::string_view extra = ExtraOf(term, code);
-  uint64_t h = HashTermParts(static_cast<uint8_t>(code), term.value(), extra);
-  uint64_t idx = h & (dict_n_slots_ - 1);
+TermId FrameStore::LookupTerm(const TermKey& key) const {
+  uint64_t idx = key.hash & (dict_n_slots_ - 1);
   for (uint64_t probes = 0; probes < dict_n_slots_; ++probes) {
     uint32_t id = LoadU32(dict_slots_ + idx * 4);
     if (id == 0) return kInvalidTermId;
-    TermView view = term_view(id);
-    uint32_t view_code = view.has_language
-                             ? kKindLangLiteral
-                             : (view.has_datatype
-                                    ? kKindTypedLiteral
-                                    : (view.kind == TermKind::kIri
-                                           ? kKindIri
-                                           : (view.kind == TermKind::kBlank
-                                                  ? kKindBlank
-                                                  : kKindPlainLiteral)));
-    if (view_code == code && view.value == term.value() &&
-        view.extra == extra) {
+    const char* rec =
+        term_records_ + (static_cast<size_t>(id) - 1) * kTermRecordSize;
+    if (key.Matches(static_cast<uint8_t>(LoadU32(rec)),
+                    std::string_view(arena_ + LoadU32(rec + 4),
+                                     LoadU32(rec + 8)),
+                    std::string_view(arena_ + LoadU32(rec + 12),
+                                     LoadU32(rec + 16)))) {
       return id;
     }
     idx = (idx + 1) & (dict_n_slots_ - 1);

@@ -123,13 +123,16 @@ class FrameStore : public TripleSource,
   std::string RenderTerm(TermId id) const;
 
   /// Hash-index lookup; kInvalidTermId if absent.
-  TermId LookupTerm(const Term& term) const;
+  TermId LookupTerm(const TermKey& key) const;
+  TermId LookupTerm(const Term& term) const {
+    return LookupTerm(TermKey::Of(term));
+  }
 
   // ---- TermCatalog ----
   size_t catalog_size() const override { return num_terms_; }
   Term CatalogTerm(TermId id) const override { return MaterializeTerm(id); }
-  TermId CatalogLookup(const Term& term) const override {
-    return LookupTerm(term);
+  TermId CatalogLookup(const TermKey& key) const override {
+    return LookupTerm(key);
   }
 
   // ---- triple access ----
@@ -198,6 +201,9 @@ class FrameStoreBuilder {
   /// Adds one triple; all three ids must already be added terms by
   /// Serialize() time. Duplicates are rejected at Serialize().
   void AddTriple(const Triple& t);
+  /// Adds a run of triples at once (taken over whole when it is the
+  /// first); a run already in SPO order skips Serialize()'s SPO sort.
+  void AddTriples(std::vector<Triple> run);
 
   void SetEpoch(uint64_t epoch) { epoch_ = epoch; }
   void SetNumEntities(uint64_t n) { num_entities_ = n; }
@@ -223,12 +229,6 @@ class FrameStoreBuilder {
   std::vector<Triple> triples_;
   std::map<uint32_t, std::string> extra_sections_;
 };
-
-/// Content hash of one term, the key function of the snapshot's dict
-/// index (chained FNV-1a over a kind code, the value bytes and the
-/// language/datatype bytes). Exposed so builder and store agree.
-uint64_t HashTermParts(uint8_t kind_code, std::string_view value,
-                       std::string_view extra);
 
 }  // namespace rdf
 }  // namespace kb

@@ -2,13 +2,22 @@
 
 #include <tuple>
 
+#include "util/hash.h"
 #include "util/string_util.h"
 
 namespace kb {
 namespace rdf {
 
 namespace {
+
 constexpr char kXsdInteger[] = "http://www.w3.org/2001/XMLSchema#integer";
+
+std::string_view ExtraOf(const Term& term, uint8_t code) {
+  if (code == kCodeLangLiteral) return term.language();
+  if (code == kCodeTypedLiteral) return term.datatype();
+  return std::string_view();
+}
+
 }  // namespace
 
 Term Term::Iri(std::string iri) {
@@ -114,6 +123,82 @@ StatusOr<Term> Term::Parse(std::string_view text) {
 bool Term::operator<(const Term& o) const {
   return std::tie(kind_, value_, language_, datatype_) <
          std::tie(o.kind_, o.value_, o.language_, o.datatype_);
+}
+
+uint8_t KindCode(const Term& term) {
+  switch (term.kind()) {
+    case TermKind::kIri:
+      return kCodeIri;
+    case TermKind::kBlank:
+      return kCodeBlank;
+    case TermKind::kLiteral:
+      if (!term.language().empty()) return kCodeLangLiteral;
+      if (!term.datatype().empty()) return kCodeTypedLiteral;
+      return kCodePlainLiteral;
+  }
+  return kCodeIri;
+}
+
+uint64_t HashTermParts(uint8_t code, std::string_view head,
+                       std::string_view tail, std::string_view extra) {
+  uint64_t h = Hash64(&code, 1);
+  h = Hash64(head.data(), head.size(), h);
+  h = Hash64(tail.data(), tail.size(), h);
+  // Separator so ("ab","c") and ("a","bc") can't collide structurally.
+  const char sep = '\0';
+  h = Hash64(&sep, 1, h);
+  h = Hash64(extra.data(), extra.size(), h);
+  return h;
+}
+
+TermKey TermKey::Of(const Term& term) {
+  TermKey key;
+  key.code = KindCode(term);
+  key.head = term.value();
+  key.extra = ExtraOf(term, key.code);
+  key.hash = HashTermParts(key.code, key.head, key.extra);
+  return key;
+}
+
+TermKey TermKey::Iri(std::string_view ns, std::string_view local) {
+  TermKey key;
+  key.code = kCodeIri;
+  key.head = ns;
+  key.tail = local;
+  key.hash = HashTermParts(kCodeIri, ns, local, std::string_view());
+  return key;
+}
+
+bool TermKey::Matches(uint8_t other_code, std::string_view value,
+                      std::string_view other_extra) const {
+  return other_code == code && value.size() == head.size() + tail.size() &&
+         value.compare(0, head.size(), head) == 0 &&
+         value.compare(head.size(), tail.size(), tail) == 0 &&
+         other_extra == extra;
+}
+
+bool TermKey::Matches(const Term& term) const {
+  const uint8_t term_code = KindCode(term);
+  return Matches(term_code, term.value(), ExtraOf(term, term_code));
+}
+
+Term TermKey::ToTerm() const {
+  std::string value;
+  value.reserve(head.size() + tail.size());
+  value.append(head);
+  value.append(tail);
+  switch (code) {
+    case kCodeBlank:
+      return Term::Blank(std::move(value));
+    case kCodePlainLiteral:
+      return Term::Literal(std::move(value));
+    case kCodeLangLiteral:
+      return Term::LangLiteral(std::move(value), std::string(extra));
+    case kCodeTypedLiteral:
+      return Term::TypedLiteral(std::move(value), std::string(extra));
+    default:
+      return Term::Iri(std::move(value));
+  }
 }
 
 }  // namespace rdf

@@ -76,6 +76,59 @@ class Term {
   std::string datatype_;
 };
 
+/// Kind codes of the term hash and of the .kbsnap term records.
+/// Literals split by their annotation, so the code alone says what a
+/// term's `extra` part (language tag or datatype IRI) means.
+enum TermCode : uint8_t {
+  kCodeIri = 0,
+  kCodePlainLiteral = 1,
+  kCodeLangLiteral = 2,
+  kCodeTypedLiteral = 3,
+  kCodeBlank = 4,
+};
+inline constexpr uint8_t kMaxTermCode = kCodeBlank;
+
+/// The code of `term` (a literal with a language tag is a lang literal
+/// even if it also names a datatype).
+uint8_t KindCode(const Term& term);
+
+/// Content hash of a term: chained FNV-1a over the kind code, the value
+/// bytes, a zero separator and the extra bytes. It keys the Dictionary
+/// overlay and the .kbsnap dict index, so changing it changes the file
+/// format. FNV-1a is byte-serial, so hashing the value in two pieces
+/// `head`, `tail` gives the hash of the joined value.
+uint64_t HashTermParts(uint8_t code, std::string_view head,
+                       std::string_view tail, std::string_view extra);
+inline uint64_t HashTermParts(uint8_t code, std::string_view value,
+                              std::string_view extra) {
+  return HashTermParts(code, value, std::string_view(), extra);
+}
+
+/// A term named by its parts, viewing bytes it does not own: the value
+/// is `head` + `tail` (an IRI split into namespace and local name, or
+/// the whole value and an empty tail), and `hash` is HashTermParts of
+/// the parts, computed once per lookup so that every table probed with
+/// the key shares it.
+struct TermKey {
+  uint8_t code = kCodeIri;
+  std::string_view head;
+  std::string_view tail;
+  std::string_view extra;
+  uint64_t hash = 0;
+
+  /// Views `term`'s strings; `term` must outlive the key.
+  static TermKey Of(const Term& term);
+  static TermKey Iri(std::string_view ns, std::string_view local);
+
+  /// True when (code, value, extra) spells this key's term.
+  bool Matches(uint8_t other_code, std::string_view value,
+               std::string_view other_extra) const;
+  bool Matches(const Term& term) const;
+
+  /// Materializes the term (joins the value parts).
+  Term ToTerm() const;
+};
+
 }  // namespace rdf
 }  // namespace kb
 

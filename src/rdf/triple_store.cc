@@ -176,6 +176,12 @@ bool TripleSet::Contains(const Triple& t) const {
   return size_ > 0 && slots_[Find(t)] == t;
 }
 
+void TripleSet::AppendTo(std::vector<Triple>* out) const {
+  for (const Triple& t : slots_) {
+    if (t.s != kAnyTerm) out->push_back(t);
+  }
+}
+
 void TripleSet::Grow() {
   std::vector<Triple> old = std::exchange(
       slots_,
@@ -260,6 +266,28 @@ std::shared_ptr<const StoreSnapshot> TripleStore::Snapshot() const {
     snapshot_ = std::move(next);
   }
   return snapshot_;
+}
+
+std::vector<Triple> TripleStore::SpoTriples() const {
+  std::vector<Triple> delta;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    delta.reserve(set_.size());
+    set_.AppendTo(&delta);
+  }
+  SortRun(&delta, ScanOrder::kSpo);
+  if (base_ == nullptr || base_->size() == 0) return delta;
+  // The delta is disjoint from the base (Add() keeps it so).
+  std::vector<Triple> out;
+  out.reserve(base_->size() + delta.size());
+  auto next = delta.begin();
+  for (size_t i = 0; i < base_->size(); ++i) {
+    const Triple t = base_->TripleAt(ScanOrder::kSpo, i);
+    for (; next != delta.end() && *next < t; ++next) out.push_back(*next);
+    out.push_back(t);
+  }
+  out.insert(out.end(), next, delta.end());
+  return out;
 }
 
 std::unique_ptr<ScanIterator> TripleStore::NewScan(

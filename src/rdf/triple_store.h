@@ -68,6 +68,9 @@ class TripleSet {
   bool Contains(const Triple& t) const;
   size_t size() const { return size_; }
 
+  /// Appends every member to `out`, in no particular order.
+  void AppendTo(std::vector<Triple>* out) const;
+
  private:
   /// The slot holding `t`, or the empty slot where it would go.
   size_t Find(const Triple& t) const;
@@ -90,10 +93,8 @@ class TripleSet {
 /// small write still copies the whole snapshot in that merge.
 /// Add/Snapshot/Scan may be called from any thread concurrently: the
 /// pending buffer and snapshot pointer are guarded by one mutex, and
-/// published snapshots are never mutated. (The dictionary is NOT
-/// internally synchronized — callers that intern terms concurrently
-/// must serialize AddTerms against readers of dict(), as
-/// core::KnowledgeBase does.)
+/// published snapshots are never mutated. The dictionary synchronizes
+/// itself (see Dictionary), so interning may overlap reads of dict().
 class TripleStore : public TripleSource {
  public:
   TripleStore() = default;
@@ -165,6 +166,11 @@ class TripleStore : public TripleSource {
   /// Forces pending writes into the snapshot now (e.g. before timing
   /// reads).
   void EnsureIndexed() const { Snapshot(); }
+
+  /// Every triple, base and delta, in SPO order: the delta's members
+  /// sorted once and merged with the base's SPO run. Builds no
+  /// snapshot, so a snapshot writer sorts each permutation only once.
+  std::vector<Triple> SpoTriples() const;
 
   /// Naive full-scan matcher, used as the ablation baseline in E10 and
   /// as the model for property tests.

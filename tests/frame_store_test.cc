@@ -18,6 +18,8 @@
 #include "rdf/namespaces.h"
 #include "rdf/triple_store.h"
 #include "storage/env.h"
+#include "util/date.h"
+#include "util/hash.h"
 #include "util/random.h"
 
 namespace kb {
@@ -331,17 +333,122 @@ TEST(KbVolumeTest, CheckpointMergesMetaLikeAMapOverlay) {
   std::map<Triple, core::FactMeta> overlay;
   core::DecodeAllPackedMeta(base_meta, &overlay);
   const size_t base_records = overlay.size();
-  for (const auto& [t, meta] : kb.meta_map()) overlay[t] = meta;
+  for (const auto& entry : kb.meta_map()) {
+    ASSERT_FALSE(entry.from_base);
+    overlay[entry.triple] = entry.meta;
+  }
   ASSERT_GT(overlay.size(), base_records);
   ASSERT_LT(overlay.size(), base_records + kb.meta_map().size())
       << "some writes must re-assert generation-1 facts";
-  const std::string expect = core::EncodePackedMeta(overlay);
+  core::FactMetaTable model;
+  for (const auto& [t, meta] : overlay) {
+    bool added = false;
+    model.FindOrAdd(t, &added)->meta = meta;
+  }
+  const std::string expect = core::EncodePackedMeta(model);
 
   ASSERT_TRUE((*volume)->Checkpoint(&kb).ok());
   std::string_view got;
   ASSERT_TRUE(kb.store().base()->section(FrameStore::kSectionFactMeta, &got));
   EXPECT_TRUE(got == expect);
   EXPECT_EQ(got.size(), overlay.size() * core::kPackedMetaRecordSize);
+}
+
+TEST(KbVolumeTest, MovedFromSnapshotKbKeepsNoBaseView) {
+  core::KnowledgeBase plain;
+  plain.AssertFact("A", "knows", "B", MetaWith(0.8, 2));
+  const Triple t(plain.EntityTerm("A"), plain.PropertyTerm("knows"),
+                 plain.EntityTerm("B"));
+  auto bytes = core::SerializeKbSnapshot(plain);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  auto base = AttachToString(std::move(*bytes));
+  ASSERT_TRUE(base.ok()) << base.status();
+  // The KB holds the only references to the mapped bytes.
+  std::unique_ptr<core::KnowledgeBase> source =
+      core::KnowledgeBase::FromSnapshot(std::move(*base));
+  ASSERT_EQ(source->NumEntities(), 2u);
+  auto moved = std::make_unique<core::KnowledgeBase>(std::move(*source));
+  const core::FactMeta* meta = moved->MetaOf(t);
+  ASSERT_NE(meta, nullptr);
+  EXPECT_EQ(meta->support, 2u);
+  EXPECT_EQ(moved->NumEntities(), 2u);
+  moved.reset();  // frees the snapshot bytes
+  EXPECT_EQ(source->MetaOf(t), nullptr);
+  EXPECT_EQ(source->NumEntities(), 0u);
+}
+
+// ------------------------------------------------ pinned .kbsnap bytes
+
+/// A small fixed KB with every term kind (entity, property and class
+/// IRIs; plain, lang and typed literals; a blank node) and facts with
+/// and without metadata.
+void BuildPinnedKb(core::KnowledgeBase* kb) {
+  kb->AssertSubclass("scientist", "person");
+  kb->AssertType("Marie_Curie", "scientist");
+  kb->AssertType("Paris", "city");
+  kb->AssertLabel("Marie_Curie", "Marie Curie", "en");
+  kb->AssertLabel("Marie_Curie", "Maria Sk\xc5\x82odowska", "pl");
+  core::FactMeta lived = MetaWith(0.75, 3);
+  lived.extractor = rdf::kExtractorInfobox;
+  lived.valid_time.begin = Date{1891, 11, 3};
+  lived.valid_time.end = Date{1934, 7, 4};
+  kb->AssertFact("Marie_Curie", "livedIn", "Paris", lived);
+  kb->AssertYearFact("Marie_Curie", "birthDate", 1867, MetaWith(1.0, 1));
+  rdf::Dictionary& dict = kb->store().dict();
+  const TermId curie = kb->EntityTerm("Marie_Curie");
+  const TermId motto = dict.Intern(Term::Literal("nothing is to be \"feared\""));
+  const TermId height = dict.Intern(
+      Term::TypedLiteral("1.55", "http://www.w3.org/2001/XMLSchema#decimal"));
+  const TermId award = dict.Intern(Term::Blank("award1"));
+  core::FactMeta said = MetaWith(0.5, 2);
+  said.extractor = rdf::kExtractorPattern;
+  kb->AddTripleWithMeta(Triple(curie, kb->PropertyTerm("motto"), motto),
+                        &said);
+  kb->AddTripleWithMeta(Triple(curie, kb->PropertyTerm("heightM"), height),
+                        nullptr);
+  kb->AddTripleWithMeta(Triple(curie, kb->PropertyTerm("received"), award),
+                        &said);
+  kb->AddTripleWithMeta(Triple(award, kb->PropertyTerm("year"),
+                               dict.Intern(Term::IntLiteral(1903))),
+                        nullptr);
+}
+
+TEST(KbSnapshotFormatTest, SerializeAndCheckpointBytesArePinned) {
+  // Size and CRC-32 of the bytes the .kbsnap writer produced for this
+  // KB when the values were recorded. A change here is a file format
+  // change: it must be deliberate, and FrameStore::kVersion must move.
+  constexpr size_t kSerializedSize = 2216;
+  constexpr uint32_t kSerializedCrc = 1264887951;
+  constexpr size_t kCheckpointSize = 2592;
+  constexpr uint32_t kCheckpointCrc = 515219600;
+
+  core::KnowledgeBase kb;
+  BuildPinnedKb(&kb);
+  auto bytes = core::SerializeKbSnapshot(kb);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  EXPECT_EQ(bytes->size(), kSerializedSize);
+  EXPECT_EQ(Crc32(*bytes), kSerializedCrc);
+
+  // A checkpoint over a base with a fact-metadata section: generation
+  // 2 merges the base's records with a re-asserted base fact and new
+  // facts about a new entity.
+  std::string dir = TempDir("pinned");
+  auto volume = core::KbVolume::Open(nullptr, dir);
+  ASSERT_TRUE(volume.ok()) << volume.status();
+  ASSERT_TRUE((*volume)->Checkpoint(&kb).ok());
+  std::string_view base_meta;
+  ASSERT_TRUE(kb.store().base()->section(FrameStore::kSectionFactMeta,
+                                         &base_meta));
+  kb.AssertFact("Marie_Curie", "livedIn", "Paris", MetaWith(0.9, 2));
+  kb.AssertType("Pierre_Curie", "scientist");
+  kb.AssertLabel("Pierre_Curie", "Pierre Curie", "fr");
+  kb.AssertFact("Pierre_Curie", "livedIn", "Paris", MetaWith(0.8, 1));
+  kb.AssertYearFact("Pierre_Curie", "birthDate", 1859, MetaWith(1.0, 1));
+  ASSERT_TRUE((*volume)->Checkpoint(&kb).ok());
+  auto checkpoint = storage::ReadFileToString((*volume)->SnapshotPath(2));
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status();
+  EXPECT_EQ(checkpoint->size(), kCheckpointSize);
+  EXPECT_EQ(Crc32(*checkpoint), kCheckpointCrc);
 }
 
 TEST(KbVolumeTest, LoadReplaysWritesFromEveryGeneration) {

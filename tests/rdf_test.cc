@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
@@ -446,11 +447,127 @@ TEST(DictionaryTest, FrameStorePersistenceKeepsIdsStable) {
   EXPECT_EQ(reopened.base_size(), corpus.size());
 }
 
+/// `prefix` followed by the decimal digits of `n`.
+std::string Numbered(const char* prefix, size_t n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
+/// A random value over a small alphabet that includes the characters
+/// N-Triples syntax treats specially; it is small enough that equal
+/// values recur across term kinds.
+std::string RandomDictValue(Rng* rng) {
+  static const char* kPieces[] = {"a", "b", "\"", "@", "^^", "\\", "<",
+                                  ">", "en", "x/", ":", " "};
+  std::string out;
+  const size_t len = rng->Uniform(6);
+  for (size_t i = 0; i < len; ++i) {
+    out += kPieces[rng->Uniform(sizeof(kPieces) / sizeof(kPieces[0]))];
+  }
+  return out;
+}
+
+Term RandomDictTerm(Rng* rng) {
+  const std::string value = RandomDictValue(rng);
+  switch (rng->Uniform(5)) {
+    case 0: return Term::Iri(value);
+    case 1: return Term::Literal(value);
+    case 2: return Term::LangLiteral(value, rng->Uniform(2) ? "en" : "a");
+    case 3: return Term::TypedLiteral(value, rng->Uniform(2) ? "a" : "en");
+    default: return Term::Blank(value);
+  }
+}
+
+TEST(DictionaryTest, AgreesWithMapModelAcrossGrowths) {
+  Rng rng(314);
+  Dictionary dict;
+  std::map<Term, TermId> model;
+  std::vector<Term> by_id;
+  // ~3k distinct terms: the overlay index grows from 16 to 8k slots.
+  for (int i = 0; i < 6000; ++i) {
+    const Term t = RandomDictTerm(&rng);
+    const TermId expected = model.count(t) > 0 ? model[t] : kInvalidTermId;
+    EXPECT_EQ(dict.Lookup(t), expected) << t.ToString();
+    const TermId id = dict.Intern(t);
+    if (expected == kInvalidTermId) {
+      ASSERT_EQ(id, by_id.size() + 1) << t.ToString();
+      model[t] = id;
+      by_id.push_back(t);
+    } else {
+      ASSERT_EQ(id, expected) << t.ToString();
+    }
+  }
+  ASSERT_GT(by_id.size(), 2048u);
+  EXPECT_EQ(dict.size(), by_id.size());
+  for (const auto& [t, id] : model) {
+    EXPECT_EQ(dict.term(id), t);
+    EXPECT_EQ(dict.Lookup(t), id);
+  }
+  // By parts: every split point of a value hashes as the joined value,
+  // and every split point of an IRI names the joined IRI.
+  for (const Term& t : by_id) {
+    const TermKey key = TermKey::Of(t);
+    const std::string& value = t.value();
+    for (size_t cut = 0; cut <= value.size(); ++cut) {
+      const std::string_view head(value.data(), cut);
+      const std::string_view tail(value.data() + cut, value.size() - cut);
+      EXPECT_EQ(HashTermParts(key.code, head, tail, key.extra), key.hash);
+      if (t.is_iri()) {
+        EXPECT_EQ(dict.InternIri(head, tail), model[t]) << value << " @" << cut;
+      }
+    }
+  }
+  EXPECT_EQ(dict.size(), by_id.size()) << "by-parts hits must not intern";
+  for (int i = 0; i < 200; ++i) {
+    const std::string ns = RandomDictValue(&rng);
+    const std::string local = RandomDictValue(&rng);
+    EXPECT_EQ(dict.InternIri(ns, local), dict.Intern(Term::Iri(ns + local)));
+  }
+}
+
+TEST(DictionaryTest, ByPartsLookupsHitTheCatalogBase) {
+  Rng rng(2718);
+  Dictionary model;
+  for (int i = 0; i < 400; ++i) model.Intern(RandomDictTerm(&rng));
+  for (int i = 0; i < 100; ++i) {
+    model.InternIri(kEntityNs, Numbered("E", i));
+  }
+  FrameStoreBuilder builder;
+  for (TermId id = 1; id <= model.size(); ++id) {
+    builder.AddTerm(model.term(id));
+  }
+  auto bytes = builder.Serialize();
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  auto owner = std::make_shared<std::string>(std::move(*bytes));
+  auto store = FrameStore::Attach(owner->data(), owner->size(), owner);
+  ASSERT_TRUE(store.ok()) << store.status();
+
+  Dictionary dict(*store);
+  for (TermId id = 1; id <= model.size(); ++id) {
+    const Term& t = model.term(id);
+    EXPECT_EQ(dict.Lookup(t), id);
+    EXPECT_EQ(dict.Intern(t), id);
+    EXPECT_EQ((*store)->LookupTerm(TermKey::Of(t)), id);
+    if (t.is_iri()) {
+      for (size_t cut = 0; cut <= t.value().size(); ++cut) {
+        EXPECT_EQ(dict.InternIri(std::string_view(t.value()).substr(0, cut),
+                                 std::string_view(t.value()).substr(cut)),
+                  id);
+      }
+    }
+  }
+  EXPECT_EQ(dict.size(), model.size()) << "base hits must not grow the overlay";
+  const TermId fresh = dict.InternIri(kEntityNs, "Fresh");
+  EXPECT_EQ(fresh, model.size() + 1);
+  EXPECT_EQ(dict.Lookup(Term::Iri(EntityIri("Fresh"))), fresh);
+}
+
 TEST(DictionaryTest, ConcurrentLookupsDuringInterning) {
-  // One writer interning a stream of new terms while readers hammer
-  // Lookup/term on everything interned so far — the contract the KB
-  // relies on (queries overlap in-flight asserts). Run under
-  // TSan/ASan in CI.
+  // One writer interning a stream of new IRIs by parts (the overlay
+  // index grows from 16 to 8k slots) while readers hammer Lookup/term on
+  // everything interned so far — the contract the KB relies on
+  // (queries overlap in-flight asserts). Run under TSan/ASan in CI.
   Dictionary dict;
   constexpr int kTerms = 4000;
   std::atomic<TermId> published{0};
@@ -458,7 +575,7 @@ TEST(DictionaryTest, ConcurrentLookupsDuringInterning) {
 
   std::thread writer([&] {
     for (int i = 0; i < kTerms; ++i) {
-      TermId id = dict.InternIri(rdf::EntityIri("W" + std::to_string(i)));
+      TermId id = dict.InternIri(kEntityNs, Numbered("W", i));
       published.store(id, std::memory_order_release);
     }
   });
@@ -473,6 +590,7 @@ TEST(DictionaryTest, ConcurrentLookupsDuringInterning) {
         TermId id = static_cast<TermId>(1 + rng.Uniform(upto));
         const Term& t = dict.term(id);
         if (t.kind() != TermKind::kIri ||
+            t.value() != EntityIri(Numbered("W", id - 1)) ||
             dict.Lookup(t) != id) {
           failed.store(true);
           break;
@@ -488,12 +606,14 @@ TEST(DictionaryTest, ConcurrentLookupsDuringInterning) {
 
 TEST(DictionaryTest, ConcurrentReadsOverCatalogBase) {
   // Same hammer, but layered over an immutable FrameStore catalog: the
-  // readers exercise the lock-free CAS-published base-term cache while
-  // the writer extends the overlay.
+  // readers exercise the lock-free CAS-published base-term cache and
+  // the overlay while the writer interns by parts, re-hitting base ids
+  // and growing the overlay index from 16 to 4k slots.
   FrameStoreBuilder builder;
   constexpr int kBase = 500;
+  constexpr int kOverlay = 2000;
   for (int i = 0; i < kBase; ++i) {
-    builder.AddTerm(Term::Iri(rdf::EntityIri("B" + std::to_string(i))));
+    builder.AddTerm(Term::Iri(rdf::EntityIri(Numbered("B", i))));
   }
   auto bytes = builder.Serialize();
   ASSERT_TRUE(bytes.ok());
@@ -502,6 +622,7 @@ TEST(DictionaryTest, ConcurrentReadsOverCatalogBase) {
   ASSERT_TRUE(store.ok()) << store.status();
 
   Dictionary dict(*store);
+  std::atomic<TermId> published{0};
   std::atomic<bool> stop{false};
   std::atomic<bool> failed{false};
   std::vector<std::thread> readers;
@@ -511,21 +632,36 @@ TEST(DictionaryTest, ConcurrentReadsOverCatalogBase) {
       while (!stop.load(std::memory_order_acquire)) {
         TermId id = static_cast<TermId>(1 + rng.Uniform(kBase));
         const Term& t = dict.term(id);
-        if (t.value() != rdf::EntityIri("B" + std::to_string(id - 1)) ||
+        if (t.value() != rdf::EntityIri(Numbered("B", id - 1)) ||
             dict.Lookup(t) != id) {
+          failed.store(true);
+          return;
+        }
+        const TermId upto = published.load(std::memory_order_acquire);
+        if (upto <= kBase) continue;
+        id = static_cast<TermId>(kBase + 1 + rng.Uniform(upto - kBase));
+        const Term& o = dict.term(id);
+        if (o.value() !=
+                rdf::EntityIri(Numbered("O", id - kBase - 1)) ||
+            dict.Lookup(o) != id) {
           failed.store(true);
           return;
         }
       }
     });
   }
-  for (int i = 0; i < 2000; ++i) {
-    dict.InternIri(rdf::EntityIri("O" + std::to_string(i)));
+  for (int i = 0; i < kOverlay; ++i) {
+    if (dict.InternIri(kEntityNs, Numbered("B", i % kBase)) !=
+        static_cast<TermId>(i % kBase + 1)) {
+      failed.store(true);
+    }
+    published.store(dict.InternIri(kEntityNs, Numbered("O", i)),
+                    std::memory_order_release);
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
   EXPECT_FALSE(failed.load());
-  EXPECT_EQ(dict.size(), static_cast<size_t>(kBase + 2000));
+  EXPECT_EQ(dict.size(), static_cast<size_t>(kBase + kOverlay));
 }
 
 }  // namespace
