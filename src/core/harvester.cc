@@ -164,6 +164,11 @@ HarvestResult Harvester::Harvest(const corpus::Corpus& corpus) const {
       }
     });
   }
+  // Each stage's inputs are freed after their last reader, so they do
+  // not add to a later stage's peak.
+  aliases.reset();
+  context.reset();
+  coherence.reset();
   result.stats.failed_documents = failed_docs.load();
   if (result.stats.failed_documents > options_.max_document_failures) {
     metrics.aborts.Increment();
@@ -179,6 +184,7 @@ HarvestResult Harvester::Harvest(const corpus::Corpus& corpus) const {
                      std::make_move_iterator(doc_sentences.begin()),
                      std::make_move_iterator(doc_sentences.end()));
   }
+  std::vector<std::vector<AnnotatedSentence>>().swap(per_doc);
   result.stats.sentences = sentences.size();
   metrics.sentences.Increment(sentences.size());
   result.stats.annotate_ms = annotate_timer.Stop();
@@ -239,6 +245,7 @@ HarvestResult Harvester::Harvest(const corpus::Corpus& corpus) const {
     all_facts.insert(all_facts.end(), ds_facts.begin(), ds_facts.end());
   }
   result.stats.extract_ms = extract_timer.Stop();
+  std::vector<AnnotatedSentence>().swap(sentences);
 
   ReasonAndAssemble(corpus, std::move(all_facts), &result);
   return result;

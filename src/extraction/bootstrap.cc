@@ -1,11 +1,12 @@
 #include "extraction/bootstrap.h"
 
-#include <map>
+#include <algorithm>
+#include <numeric>
 #include <set>
+#include <unordered_map>
 
 #include "extraction/extraction_metrics.h"
 #include "rdf/triple.h"
-#include "util/string_util.h"
 
 namespace kb {
 namespace extraction {
@@ -26,12 +27,24 @@ Pair PairOf(const ExtractedFact& f, bool literal) {
                              : static_cast<int64_t>(f.object)};
 }
 
+/// A candidate pattern: the lowercased gap tokens joined with ' ',
+/// plus "|SF" (subject first) or "|OF".
+struct PatternKey {
+  const std::string* text;  ///< owned by the interning map
+  bool subject_first;
+  /// The gap of the key's last occurrence, which supplies the
+  /// pattern's words.
+  const nlp::Sentence* sentence = nullptr;
+  uint32_t gap_begin = 0;
+  uint32_t gap_end = 0;
+  bool accepted = false;
+  double confidence = 0;  ///< precision when accepted
+};
+
 struct Occurrence {
   Pair pair;
-  std::string context;   ///< lowercased gap tokens joined with ' '
-  bool subject_first;
+  uint32_t key;  ///< index into the PatternKey vector
   uint32_t doc_id;
-  std::vector<std::string> words;
 };
 
 }  // namespace
@@ -42,15 +55,32 @@ Bootstrapper::Result Bootstrapper::Run(
   const RelationInfo& info = GetRelationInfo(relation);
   Result result;
 
-  // Enumerate every candidate occurrence once up front.
+  // Enumerate every candidate occurrence once up front, interning its
+  // pattern key.
+  std::unordered_map<std::string, uint32_t> key_ids;
+  std::vector<PatternKey> keys;
   std::vector<Occurrence> occurrences;
+  std::string text;
+  auto add = [&](Pair pair, const AnnotatedSentence& as, uint32_t from,
+                 uint32_t to, bool subject_first) {
+    const nlp::Sentence& s = as.sentence;
+    text.clear();
+    for (uint32_t t = from; t < to; ++t) {
+      if (t > from) text += ' ';
+      text += s.tokens[t].lower;
+    }
+    text += subject_first ? "|SF" : "|OF";
+    auto [it, inserted] =
+        key_ids.try_emplace(text, static_cast<uint32_t>(keys.size()));
+    if (inserted) keys.push_back({&it->first, subject_first});
+    PatternKey& key = keys[it->second];
+    key.sentence = &s;
+    key.gap_begin = from;
+    key.gap_end = to;
+    occurrences.push_back({pair, it->second, as.doc_id});
+  };
   for (const AnnotatedSentence& as : sentences) {
     const nlp::Sentence& s = as.sentence;
-    auto gap_words = [&](uint32_t from, uint32_t to) {
-      std::vector<std::string> words;
-      for (uint32_t t = from; t < to; ++t) words.push_back(s.tokens[t].lower);
-      return words;
-    };
     if (info.literal_object) {
       for (const SentenceMention& subj : as.mentions) {
         if (subj.kind != info.subject_kind) continue;
@@ -60,13 +90,7 @@ Bootstrapper::Result Bootstrapper::Run(
              ++t) {
           int year = 0;
           if (!IsYearToken(s.tokens[t], &year)) continue;
-          Occurrence occ;
-          occ.pair = {subj.entity, year};
-          occ.words = gap_words(subj.token_end, t);
-          occ.context = Join(occ.words, " ");
-          occ.subject_first = true;
-          occ.doc_id = as.doc_id;
-          occurrences.push_back(std::move(occ));
+          add({subj.entity, year}, as, subj.token_end, t, true);
         }
       }
       continue;
@@ -87,17 +111,18 @@ Bootstrapper::Result Bootstrapper::Run(
               obj.kind != info.object_kind) {
             continue;
           }
-          Occurrence occ;
-          occ.pair = {subj.entity, obj.entity};
-          occ.words = gap_words(first.token_end, second.token_begin);
-          occ.context = Join(occ.words, " ");
-          occ.subject_first = subject_first;
-          occ.doc_id = as.doc_id;
-          occurrences.push_back(std::move(occ));
+          add({subj.entity, obj.entity}, as, first.token_end,
+              second.token_begin, subject_first);
         }
       }
     }
   }
+  // Patterns are considered in the keys' lexicographic order.
+  std::vector<uint32_t> order(keys.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return *keys[a].text < *keys[b].text;
+  });
 
   // Seed statements and their subjects.
   std::set<Pair> known;
@@ -108,22 +133,19 @@ Bootstrapper::Result Bootstrapper::Run(
     known_subjects.insert(f.subject);
   }
 
-  std::set<std::string> accepted_keys;
   std::vector<ExtractedFact> raw_facts;
+  struct Stats {
+    int pos = 0;
+    int neg = 0;
+  };
+  std::vector<Stats> stats;
 
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
     result.iterations_run = iter + 1;
     // Score contexts against the current seed set.
-    struct Stats {
-      int pos = 0;
-      int neg = 0;
-      const Occurrence* sample = nullptr;
-    };
-    std::map<std::string, Stats> stats;
+    stats.assign(keys.size(), Stats());
     for (const Occurrence& occ : occurrences) {
-      std::string key = occ.context + (occ.subject_first ? "|SF" : "|OF");
-      Stats& st = stats[key];
-      st.sample = &occ;
+      Stats& st = stats[occ.key];
       if (known.count(occ.pair) > 0) {
         ++st.pos;
       } else if (known_subjects.count(occ.pair.first) > 0) {
@@ -131,34 +153,35 @@ Bootstrapper::Result Bootstrapper::Run(
       }
     }
     // Accept new patterns.
-    size_t before = accepted_keys.size();
-    for (const auto& [key, st] : stats) {
-      if (accepted_keys.count(key) > 0) continue;
+    const size_t before = result.learned_patterns.size();
+    for (uint32_t k : order) {
+      PatternKey& key = keys[k];
+      const Stats& st = stats[k];
+      if (key.accepted) continue;
       if (st.pos < options_.min_pattern_support) continue;
       double precision =
           static_cast<double>(st.pos) / static_cast<double>(st.pos + st.neg);
       if (precision < options_.min_pattern_precision) continue;
-      if (st.sample->words.empty()) continue;  // adjacency is too generic
-      accepted_keys.insert(key);
+      if (key.gap_begin == key.gap_end) continue;  // adjacency is too generic
+      key.accepted = true;
+      key.confidence = precision;
       SurfacePattern p;
       p.relation = relation;
-      p.between = st.sample->words;
-      p.subject_first = st.sample->subject_first;
+      for (uint32_t t = key.gap_begin; t < key.gap_end; ++t) {
+        p.between.push_back(key.sentence->tokens[t].lower);
+      }
+      p.subject_first = key.subject_first;
       p.confidence = precision;
       result.learned_patterns.push_back(std::move(p));
     }
-    if (accepted_keys.size() == before && iter > 0) break;  // converged
+    if (result.learned_patterns.size() == before && iter > 0) {
+      break;  // converged
+    }
 
     // Apply all accepted patterns; grow the seed set.
-    std::map<std::string, double> key_confidence;
-    for (const SurfacePattern& p : result.learned_patterns) {
-      key_confidence[Join(p.between, " ") + (p.subject_first ? "|SF" : "|OF")] =
-          p.confidence;
-    }
     for (const Occurrence& occ : occurrences) {
-      std::string key = occ.context + (occ.subject_first ? "|SF" : "|OF");
-      auto it = key_confidence.find(key);
-      if (it == key_confidence.end()) continue;
+      const PatternKey& key = keys[occ.key];
+      if (!key.accepted) continue;
       ExtractedFact f;
       f.subject = occ.pair.first;
       f.relation = relation;
@@ -167,7 +190,7 @@ Bootstrapper::Result Bootstrapper::Run(
       } else {
         f.object = static_cast<uint32_t>(occ.pair.second);
       }
-      f.confidence = it->second;
+      f.confidence = key.confidence;
       f.doc_id = occ.doc_id;
       f.extractor = rdf::kExtractorBootstrap;
       raw_facts.push_back(f);

@@ -1,6 +1,7 @@
 #ifndef KBFORGE_EXTRACTION_DISTANT_SUPERVISION_H_
 #define KBFORGE_EXTRACTION_DISTANT_SUPERVISION_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -23,52 +24,36 @@ struct ClassifierOptions {
 /// (tutorial §3): a multiclass averaged perceptron over mention-pair
 /// contexts, trained by *distant supervision* — sentence pairs are
 /// labeled automatically by matching them against a seed knowledge
-/// base (e.g. infobox-extracted facts), never by hand.
+/// base (e.g. infobox-extracted facts), never by hand. Feature strings
+/// are interned once into model-owned ids; training and extraction
+/// score candidates over those ids.
 class RelationClassifier {
  public:
   explicit RelationClassifier(ClassifierOptions options = ClassifierOptions());
 
   /// Trains on `sentences`, using `seed_facts` as the distant labels.
+  /// Replaces whatever model an earlier call learned.
   void Train(const std::vector<AnnotatedSentence>& sentences,
              const std::vector<ExtractedFact>& seed_facts);
 
   /// Classifies all candidate pairs; returns facts whose confidence
   /// (sigmoid of the perceptron margin) reaches `min_confidence`.
+  /// Features never seen in training are ignored.
   std::vector<ExtractedFact> Extract(
       const std::vector<AnnotatedSentence>& sentences,
       double min_confidence = 0.5) const;
 
-  size_t num_features() const;
+  /// Number of (feature, label) weights training updated.
+  size_t num_features() const { return num_features_; }
 
  private:
-  struct Candidate {
-    uint32_t subject;
-    uint32_t object;       ///< UINT32_MAX for literal candidates
-    int32_t literal_year;  ///< 0 unless literal candidate
-    corpus::EntityKind subject_kind;
-    corpus::EntityKind object_kind;  ///< meaningless for literal
-    bool literal;
-    uint32_t doc_id;
-    std::vector<std::string> features;
-  };
-
-  static void CollectCandidates(const AnnotatedSentence& sentence,
-                                size_t max_gap,
-                                std::vector<Candidate>* out);
-
-  /// label in [0, kNumRelations] where kNumRelations = NONE.
-  double Score(const std::vector<std::string>& features, int label,
-               bool averaged) const;
-
   ClassifierOptions options_;
-  // weights_[label][feature]: (current, accumulated, last update step)
-  struct Weight {
-    double w = 0;
-    double acc = 0;
-    long long last = 0;
-  };
-  std::vector<std::unordered_map<std::string, Weight>> weights_;
-  long long steps_ = 0;
+  /// Feature string -> id; an id is a row of `weights_`.
+  std::unordered_map<std::string, uint32_t> feature_ids_;
+  /// Averaged weights, one row of kNumRelations + 1 labels (the last
+  /// is NONE) per feature id.
+  std::vector<double> weights_;
+  size_t num_features_ = 0;
 };
 
 }  // namespace extraction
