@@ -55,7 +55,7 @@ StatusOr<EntityCard> BuildEntityCard(const KnowledgeBase& kb,
     if (options.downweight_common_properties) {
       rdf::TriplePattern by_property;
       by_property.p = t.p;
-      size_t frequency = store.CountMatches(by_property);
+      size_t frequency = store.EstimateCount(by_property);
       salience /= std::log(2.0 + static_cast<double>(frequency));
     }
     fact.salience = salience;

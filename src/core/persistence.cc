@@ -131,11 +131,9 @@ Status KbStorage::SaveOverlay(const KnowledgeBase& kb) {
   // Triples to persist: the in-memory delta, plus base triples whose
   // metadata was written (meta_map entries not flagged from_base).
   std::set<rdf::Triple> triples;
-  auto delta = kb.store().Snapshot();  // delta-only on hybrid stores
-  rdf::TriplePattern all;
-  for (auto it = delta->NewScan(all); it->Valid(); it->Next()) {
-    triples.insert(it->Value());
-  }
+  const std::shared_ptr<const rdf::StoreSnapshot> snapshot =
+      kb.store().Snapshot();
+  for (const rdf::Triple& t : snapshot->delta().spo) triples.insert(t);
   for (const FactMetaTable::Entry& entry : kb.meta_map()) {
     if (!entry.from_base) triples.insert(entry.triple);
   }

@@ -1,7 +1,10 @@
 #include "rdf/frame_store.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "util/hash.h"
@@ -11,6 +14,16 @@
 
 namespace kb {
 namespace rdf {
+
+// A run record is read in place as a Triple and written as a Triple's
+// bytes, so Triple must be the record: three little-endian u32s.
+static_assert(std::endian::native == std::endian::little,
+              "run records are little-endian Triples");
+static_assert(std::is_trivially_copyable_v<Triple> &&
+                  sizeof(Triple) == FrameStore::kTripleRecordSize &&
+                  alignof(Triple) == 4 && offsetof(Triple, s) == 0 &&
+                  offsetof(Triple, p) == 4 && offsetof(Triple, o) == 8,
+              "a run record is {u32 s, u32 p, u32 o}");
 
 namespace {
 
@@ -43,17 +56,10 @@ uint64_t LoadU64(const char* p) {
 
 void StoreU32(char* p, uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
 
-/// Packs a sorted run as 12-byte {s,p,o} records.
+/// A sorted run's bytes: its Triples are its 12-byte records.
 std::string PackRun(const std::vector<Triple>& run) {
-  std::string bytes(run.size() * FrameStore::kTripleRecordSize, '\0');
-  char* p = bytes.data();
-  for (const Triple& t : run) {
-    StoreU32(p, t.s);
-    StoreU32(p + 4, t.p);
-    StoreU32(p + 8, t.o);
-    p += FrameStore::kTripleRecordSize;
-  }
-  return bytes;
+  return std::string(reinterpret_cast<const char*>(run.data()),
+                     run.size() * sizeof(Triple));
 }
 
 size_t AlignUp8(size_t n) { return (n + 7) & ~static_cast<size_t>(7); }
@@ -63,63 +69,6 @@ uint64_t RoundUpPow2(uint64_t n) {
   while (v < n) v <<= 1;
   return v;
 }
-
-/// Scan over one packed run; binary-searched to the pattern's bound
-/// prefix like StoreSnapshot's MemScanIterator, but index-based over
-/// the mapped records instead of pointer-based over a vector.
-class FrameScanIterator : public ScanIterator {
- public:
-  FrameScanIterator(std::shared_ptr<const FrameStore> store, ScanOrder order,
-                    const TriplePattern& pattern)
-      : store_(std::move(store)), order_(order), pattern_(pattern) {
-    Triple as_triple(pattern.s, pattern.p, pattern.o);
-    TermId key[3];
-    ComponentsInOrder(order, as_triple, key);
-    int prefix = BoundPrefixLength(order, pattern);
-    TermId lo[3] = {0, 0, 0};
-    TermId hi[3] = {kAnyTerm, kAnyTerm, kAnyTerm};
-    for (int i = 0; i < prefix; ++i) lo[i] = hi[i] = key[i];
-    idx_ = store_->LowerBound(order,
-                              TripleFromOrder(order, lo[0], lo[1], lo[2]));
-    // No valid triple carries a kAnyTerm component, so the hi key is a
-    // strict upper bound of the prefix range.
-    end_ = store_->UpperBound(order,
-                              TripleFromOrder(order, hi[0], hi[1], hi[2]));
-    SkipNonMatching();
-  }
-
-  bool Valid() const override { return idx_ < end_; }
-  const Triple& Value() const override { return cur_; }
-
-  void Next() override {
-    ++idx_;
-    SkipNonMatching();
-  }
-
-  void Seek(const Triple& target) override {
-    size_t pos = store_->LowerBound(order_, target);
-    if (pos > idx_) idx_ = pos;
-    SkipNonMatching();
-  }
-
-  ScanOrder order() const override { return order_; }
-
- private:
-  void SkipNonMatching() {
-    while (idx_ < end_) {
-      cur_ = store_->TripleAt(order_, idx_);
-      if (pattern_.Matches(cur_)) return;
-      ++idx_;
-    }
-  }
-
-  std::shared_ptr<const FrameStore> store_;
-  ScanOrder order_;
-  TriplePattern pattern_;
-  size_t idx_ = 0;
-  size_t end_ = 0;
-  Triple cur_;
-};
 
 }  // namespace
 
@@ -375,6 +324,7 @@ Status FrameStore::Bind(const char* data, size_t size,
   }
   dict_slots_ = sec.first + 8;
 
+  std::span<const Triple>* runs[3] = {&runs_.spo, &runs_.pos, &runs_.osp};
   const uint32_t run_ids[3] = {kSectionSpo, kSectionPos, kSectionOsp};
   for (int i = 0; i < 3; ++i) {
     status = required(run_ids[i], &sec);
@@ -382,7 +332,13 @@ Status FrameStore::Bind(const char* data, size_t size,
     if (sec.second != num_triples_ * kTripleRecordSize) {
       return Status::Corruption("triple run section size mismatch");
     }
-    runs_[i] = sec.first;
+    // Sections are 8-aligned in the file, so this fails only when the
+    // bytes themselves sit at an address that is not.
+    if (reinterpret_cast<uintptr_t>(sec.first) % alignof(Triple) != 0) {
+      return Status::InvalidArgument(
+          "triple run section is not 4-aligned in memory");
+    }
+    *runs[i] = {reinterpret_cast<const Triple*>(sec.first), num_triples_};
   }
 
   if (options.verify_structure) return VerifyStructure();
@@ -390,13 +346,22 @@ Status FrameStore::Bind(const char* data, size_t size,
 }
 
 Status FrameStore::VerifyStructure() const {
+  // Every term id in exactly one slot: a missing id is unreachable by
+  // LookupTerm, so interning its term again would mint a second id.
+  std::vector<bool> listed(num_terms_ + 1, false);
   size_t live_slots = 0;
   for (uint64_t i = 0; i < dict_n_slots_; ++i) {
     uint32_t id = LoadU32(dict_slots_ + i * 4);
     if (id > num_terms_) {
       return Status::Corruption("dict slot references bad term id");
     }
-    if (id != 0) ++live_slots;
+    if (id == 0) continue;
+    if (listed[id]) {
+      return Status::Corruption("dict index lists term id " +
+                                std::to_string(id) + " twice");
+    }
+    listed[id] = true;
+    ++live_slots;
   }
   if (live_slots != num_terms_) {
     return Status::Corruption("dict index does not cover the term set");
@@ -416,18 +381,17 @@ Status FrameStore::VerifyStructure() const {
   }
   for (ScanOrder order :
        {ScanOrder::kSpo, ScanOrder::kPos, ScanOrder::kOsp}) {
-    Triple prev;
-    for (size_t i = 0; i < num_triples_; ++i) {
-      Triple t = TripleAt(order, i);
+    const std::span<const Triple> run = runs_.run(order);
+    for (size_t i = 0; i < run.size(); ++i) {
+      const Triple& t = run[i];
       for (TermId id : {t.s, t.p, t.o}) {
         if (id == kInvalidTermId || id > num_terms_) {
           return Status::Corruption("triple references bad term id");
         }
       }
-      if (i > 0 && !LessInOrder(order, prev, t)) {
+      if (i > 0 && !LessInOrder(order, run[i - 1], t)) {
         return Status::Corruption("triple run out of order");
       }
-      prev = t;
     }
   }
   return Status::OK();
@@ -523,80 +487,10 @@ TermId FrameStore::LookupTerm(const TermKey& key) const {
   return kInvalidTermId;
 }
 
-Triple FrameStore::TripleAt(ScanOrder order, size_t idx) const {
-  const char* rec =
-      runs_[static_cast<int>(order)] + idx * kTripleRecordSize;
-  return Triple(LoadU32(rec), LoadU32(rec + 4), LoadU32(rec + 8));
-}
-
-size_t FrameStore::LowerBound(ScanOrder order, const Triple& key) const {
-  size_t lo = 0, hi = num_triples_;
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (LessInOrder(order, TripleAt(order, mid), key)) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-size_t FrameStore::UpperBound(ScanOrder order, const Triple& key) const {
-  size_t lo = 0, hi = num_triples_;
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (LessInOrder(order, key, TripleAt(order, mid))) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
-}
-
-bool FrameStore::Contains(const Triple& t) const {
-  size_t idx = LowerBound(ScanOrder::kSpo, t);
-  return idx < num_triples_ && TripleAt(ScanOrder::kSpo, idx) == t;
-}
-
 std::unique_ptr<ScanIterator> FrameStore::NewScan(
     const TriplePattern& pattern) const {
-  ScanOrder order = ChooseScanOrder(pattern);
-  return std::make_unique<FrameScanIterator>(shared_from_this(), order,
-                                             pattern);
-}
-
-size_t FrameStore::EstimateCount(const TriplePattern& pattern) const {
-  ScanOrder order = ChooseScanOrder(pattern);
-  Triple as_triple(pattern.s, pattern.p, pattern.o);
-  TermId key[3];
-  ComponentsInOrder(order, as_triple, key);
-  int prefix = BoundPrefixLength(order, pattern);
-  TermId lo[3] = {0, 0, 0};
-  TermId hi[3] = {kAnyTerm, kAnyTerm, kAnyTerm};
-  for (int i = 0; i < prefix; ++i) lo[i] = hi[i] = key[i];
-  size_t begin =
-      LowerBound(order, TripleFromOrder(order, lo[0], lo[1], lo[2]));
-  size_t end = UpperBound(order, TripleFromOrder(order, hi[0], hi[1], hi[2]));
-  int bound = (pattern.s != kAnyTerm) + (pattern.p != kAnyTerm) +
-              (pattern.o != kAnyTerm);
-  if (prefix == bound) return end - begin;
-  size_t n = 0;
-  for (size_t i = begin; i < end; ++i) {
-    if (pattern.Matches(TripleAt(order, i))) ++n;
-  }
-  return n;
-}
-
-std::vector<Triple> FrameStore::MatchFullScan(
-    const TriplePattern& pattern) const {
-  std::vector<Triple> out;
-  for (size_t i = 0; i < num_triples_; ++i) {
-    Triple t = TripleAt(ScanOrder::kSpo, i);
-    if (pattern.Matches(t)) out.push_back(t);
-  }
-  return out;
+  return std::make_unique<RunScanIterator>(
+      shared_from_this(), runs_.Range(pattern), ChooseScanOrder(pattern));
 }
 
 bool FrameStore::section(uint32_t id, std::string_view* out) const {

@@ -38,7 +38,9 @@ namespace rdf {
 ///     3 dict index     u64 n_slots, then n_slots x u32 id (0 = empty;
 ///                      linear probing on HashTermParts & (n_slots-1))
 ///     4/5/6 runs       num_triples x 12B {s,p,o}, sorted in
-///                      SPO / POS / OSP collation respectively
+///                      SPO / POS / OSP collation respectively; read
+///                      in place as rdf::Triple, so Attach() needs a
+///                      little-endian host and 4-aligned run sections
 ///     >= 16            opaque to this layer (core stores fact
 ///                      metadata in one; see kb_snapshot.cc)
 ///
@@ -73,8 +75,9 @@ class FrameStore : public TripleSource,
     /// CRC every section against the table (one linear pass). Leave on
     /// unless the bytes were checked out-of-band.
     bool verify_checksums = true;
-    /// Structural validation: offsets in range, ids dense, runs
-    /// strictly sorted. O(num_terms + num_triples).
+    /// Structural validation: offsets in range, each term id in the
+    /// dict index exactly once, runs strictly sorted.
+    /// O(num_terms + num_triples).
     bool verify_structure = true;
   };
 
@@ -82,8 +85,9 @@ class FrameStore : public TripleSource,
   /// bytes alive (e.g. a mapped region or a std::string) and is held
   /// for the store's lifetime; the rdf layer never does file I/O
   /// itself. Returns InvalidArgument/Corruption on any malformed or
-  /// checksum-failing input — a refused snapshot is never partially
-  /// attached.
+  /// checksum-failing input, and InvalidArgument when the run sections
+  /// are not 4-aligned in memory — a refused snapshot is never
+  /// partially attached.
   static StatusOr<std::shared_ptr<FrameStore>> Attach(
       const char* data, size_t size, std::shared_ptr<void> owner,
       const AttachOptions& options);
@@ -136,32 +140,22 @@ class FrameStore : public TripleSource,
   }
 
   // ---- triple access ----
-  bool Contains(const Triple& t) const;
 
-  // TripleSource: id-native scans over the packed runs.
+  /// The mapped §4/5/6 runs, viewed in place; valid for the store's
+  /// lifetime.
+  const TripleRuns& runs() const { return runs_; }
+  bool Contains(const Triple& t) const { return runs_.Contains(t); }
+
+  // TripleSource: id-native scans over the mapped runs.
   std::unique_ptr<ScanIterator> NewScan(
       const TriplePattern& pattern) const override;
-  size_t EstimateCount(const TriplePattern& pattern) const override;
-
-  /// Materializing full-pattern match (parity with TripleStore).
-  std::vector<Triple> MatchFullScan(const TriplePattern& pattern) const;
+  size_t EstimateCount(const TriplePattern& pattern) const override {
+    return runs_.Range(pattern).size();
+  }
 
   /// Raw bytes of a payload section, or empty view + false if the
   /// snapshot has no such section.
   bool section(uint32_t id, std::string_view* out) const;
-
-  /// Triple record run for `order`; valid for the store's lifetime.
-  const char* run_data(ScanOrder order) const {
-    return runs_[static_cast<int>(order)];
-  }
-
-  /// Decodes the idx-th record of `order`'s run.
-  Triple TripleAt(ScanOrder order, size_t idx) const;
-
-  /// First index in `order`'s run whose record is >= / > `key` in that
-  /// collation (binary search over the packed records).
-  size_t LowerBound(ScanOrder order, const Triple& key) const;
-  size_t UpperBound(ScanOrder order, const Triple& key) const;
 
  private:
   FrameStore() = default;
@@ -183,7 +177,7 @@ class FrameStore : public TripleSource,
   size_t arena_size_ = 0;
   const char* dict_slots_ = nullptr;
   uint64_t dict_n_slots_ = 0;
-  const char* runs_[3] = {nullptr, nullptr, nullptr};
+  TripleRuns runs_;
 
   std::map<uint32_t, std::pair<const char*, size_t>> sections_;
 };

@@ -63,8 +63,8 @@ void RadixSortRun(std::vector<Triple>* run, ScanOrder order) {
   if (src != run->data()) run->swap(scratch);
 }
 
-}  // namespace
-
+/// Projects a triple's components into `order` space (e.g. kPos maps
+/// (s,p,o) to (p,o,s)).
 void ComponentsInOrder(ScanOrder order, const Triple& t, TermId out[3]) {
   switch (order) {
     case ScanOrder::kSpo:
@@ -85,17 +85,7 @@ void ComponentsInOrder(ScanOrder order, const Triple& t, TermId out[3]) {
   }
 }
 
-Triple TripleFromOrder(ScanOrder order, TermId a, TermId b, TermId c) {
-  switch (order) {
-    case ScanOrder::kSpo:
-      return Triple(a, b, c);
-    case ScanOrder::kPos:
-      return Triple(c, a, b);
-    case ScanOrder::kOsp:
-      return Triple(b, c, a);
-  }
-  return Triple();
-}
+}  // namespace
 
 bool LessInOrder(ScanOrder order, const Triple& a, const Triple& b) {
   TermId ka[3] = {0, 0, 0};
@@ -142,6 +132,41 @@ ScanOrder ChooseScanOrder(const TriplePattern& pattern) {
   return best;
 }
 
+std::span<const Triple> TripleRuns::Range(const TriplePattern& pattern) const {
+  const ScanOrder order = ChooseScanOrder(pattern);
+  const int prefix = BoundPrefixLength(order, pattern);
+  // Compares the first `prefix` components in `order` space: a prefix
+  // of the run's collation, under which the match set is one range.
+  auto less = [order, prefix](const Triple& a, const Triple& b) {
+    TermId ka[3] = {0, 0, 0};
+    TermId kb_[3] = {0, 0, 0};
+    ComponentsInOrder(order, a, ka);
+    ComponentsInOrder(order, b, kb_);
+    for (int i = 0; i < prefix; ++i) {
+      if (ka[i] != kb_[i]) return ka[i] < kb_[i];
+    }
+    return false;
+  };
+  const std::span<const Triple> r = run(order);
+  const Triple key(pattern.s, pattern.p, pattern.o);
+  const auto [begin, end] = std::equal_range(r.begin(), r.end(), key, less);
+  return {begin, end};
+}
+
+bool TripleRuns::Contains(const Triple& t) const {
+  // Triple::operator< is the SPO collation.
+  return std::binary_search(spo.begin(), spo.end(), t);
+}
+
+std::vector<Triple> TripleRuns::MatchFullScan(
+    const TriplePattern& pattern) const {
+  std::vector<Triple> out;
+  for (const Triple& t : spo) {
+    if (pattern.Matches(t)) out.push_back(t);
+  }
+  return out;
+}
+
 MergeScanIterator::MergeScanIterator(std::unique_ptr<ScanIterator> a,
                                      std::unique_ptr<ScanIterator> b)
     : a_(std::move(a)), b_(std::move(b)) {
@@ -165,16 +190,6 @@ void MergeScanIterator::Next() {
   } else {
     b_->Next();
   }
-}
-
-void MergeScanIterator::Seek(const Triple& target) {
-  a_->Seek(target);
-  b_->Seek(target);
-}
-
-Status MergeScanIterator::status() const {
-  if (!a_->status().ok()) return a_->status();
-  return b_->status();
 }
 
 bool MergeScanIterator::FromA() const {

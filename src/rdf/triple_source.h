@@ -3,10 +3,11 @@
 
 #include <functional>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "rdf/triple.h"
-#include "util/status.h"
 
 namespace kb {
 namespace rdf {
@@ -29,13 +30,6 @@ struct TriplePattern {
 /// The three collation orders every pattern shape can be answered from
 /// with a contiguous range (the RDF-3X permutation-index design).
 enum class ScanOrder { kSpo, kPos, kOsp };
-
-/// Projects a triple's components into `order` space (e.g. kPos maps
-/// (s,p,o) to (p,o,s)).
-void ComponentsInOrder(ScanOrder order, const Triple& t, TermId out[3]);
-
-/// Inverse of ComponentsInOrder.
-Triple TripleFromOrder(ScanOrder order, TermId a, TermId b, TermId c);
 
 /// Lexicographic comparison of two triples in `order` space.
 bool LessInOrder(ScanOrder order, const Triple& a, const Triple& b);
@@ -60,7 +54,45 @@ void SortRun(std::vector<Triple>* run, ScanOrder order);
 ScanOrder ChooseScanOrder(const TriplePattern& pattern);
 
 /// Number of leading bound components of `pattern` in `order` space.
+/// For ChooseScanOrder(pattern) it is the number of bound components:
+/// every one of the eight pattern shapes has a rotation that puts all
+/// of its bound positions first.
 int BoundPrefixLength(ScanOrder order, const TriplePattern& pattern);
+
+/// One triple set as its three permutation runs, each sorted in its
+/// ScanOrder's collation: the read side of every store. StoreSnapshot
+/// keeps its delta in vectors and FrameStore views its mapped run
+/// sections in place; both answer patterns through this one view.
+/// The spans do not own their triples (the store that made them does),
+/// and a default TripleRuns is the empty set.
+struct TripleRuns {
+  std::span<const Triple> spo, pos, osp;
+
+  size_t size() const { return spo.size(); }
+
+  std::span<const Triple> run(ScanOrder order) const {
+    switch (order) {
+      case ScanOrder::kPos:
+        return pos;
+      case ScanOrder::kOsp:
+        return osp;
+      default:
+        return spo;
+    }
+  }
+
+  /// The matches of `pattern`: the contiguous range of
+  /// ChooseScanOrder(pattern)'s run whose sort prefix equals the
+  /// pattern's bound components. That prefix covers every bound
+  /// component, so the range is exactly the match set, in that order.
+  std::span<const Triple> Range(const TriplePattern& pattern) const;
+
+  bool Contains(const Triple& t) const;
+
+  /// Naive full-scan matcher over the SPO run, in SPO order: the model
+  /// for property tests and brute-force benches.
+  std::vector<Triple> MatchFullScan(const TriplePattern& pattern) const;
+};
 
 /// Volcano-style pull iterator over the matches of one triple pattern
 /// in a fixed collation order. The iterator owns whatever it needs to
@@ -79,22 +111,38 @@ class ScanIterator {
   /// Advances to the next match. Precondition: Valid().
   virtual void Next() = 0;
 
-  /// Repositions at the first match >= `target` in this iterator's
-  /// order. Never moves backwards.
-  virtual void Seek(const Triple& target) = 0;
-
   /// The collation order this iterator scans in.
   virtual ScanOrder order() const = 0;
+};
 
-  /// Non-OK if the scan hit an unreadable region (e.g. a corrupt
-  /// storage block); the iterator then reports !Valid().
-  virtual Status status() const { return Status::OK(); }
+/// Scan over one range of a sorted run (a TripleRuns::Range). `owner`
+/// keeps the run's storage alive (a store snapshot or a mapped
+/// FrameStore), so the iterator may outlive changes to the source.
+class RunScanIterator : public ScanIterator {
+ public:
+  RunScanIterator(std::shared_ptr<const void> owner,
+                  std::span<const Triple> range, ScanOrder order)
+      : owner_(std::move(owner)),
+        cur_(range.data()),
+        end_(range.data() + range.size()),
+        order_(order) {}
+
+  bool Valid() const override { return cur_ != end_; }
+  const Triple& Value() const override { return *cur_; }
+  void Next() override { ++cur_; }
+  ScanOrder order() const override { return order_; }
+
+ private:
+  std::shared_ptr<const void> owner_;
+  const Triple* cur_;
+  const Triple* end_;
+  ScanOrder order_;
 };
 
 /// Merges two iterators of the same collation order into one sorted,
 /// duplicate-free stream (the left iterator wins ties). This is how a
-/// hybrid store reads an immutable base snapshot plus its delta as one
-/// source without materializing either side.
+/// store snapshot reads its base runs plus its delta runs as one
+/// source when both have matches, without materializing either side.
 class MergeScanIterator : public ScanIterator {
  public:
   MergeScanIterator(std::unique_ptr<ScanIterator> a,
@@ -103,9 +151,7 @@ class MergeScanIterator : public ScanIterator {
   bool Valid() const override;
   const Triple& Value() const override;
   void Next() override;
-  void Seek(const Triple& target) override;
   ScanOrder order() const override { return a_->order(); }
-  Status status() const override;
 
  private:
   bool FromA() const;

@@ -2,7 +2,6 @@
 #define KBFORGE_RDF_TRIPLE_STORE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -15,42 +14,38 @@
 namespace kb {
 namespace rdf {
 
-/// An immutable point-in-time view of a TripleStore's three sorted
-/// permutation indexes. Snapshots are what queries actually scan:
-/// once taken, a snapshot never changes, so any number of readers can
+/// An immutable point-in-time view of a TripleStore: the base's runs
+/// (empty for a plain store) beside the delta's three sorted
+/// permutation vectors. Snapshots are what queries actually scan: once
+/// taken, a snapshot never changes, so any number of readers can
 /// iterate it lock-free and see a consistent store even while writers
 /// keep appending to the owning TripleStore.
 class StoreSnapshot : public TripleSource,
                       public std::enable_shared_from_this<StoreSnapshot> {
  public:
+  /// One run scan when only one side has matches, a MergeScanIterator
+  /// of the two when both do.
   std::unique_ptr<ScanIterator> NewScan(
       const TriplePattern& pattern) const override;
 
-  /// Exact for patterns whose bound components form a prefix of some
-  /// collation order (a range subtraction); counted by scan otherwise.
+  /// Exact: the width of each side's range (the delta is disjoint from
+  /// the base).
   size_t EstimateCount(const TriplePattern& pattern) const override;
 
-  size_t size() const { return spo_.size(); }
+  size_t size() const { return base_.size() + spo_.size(); }
 
-  /// Naive full-scan matcher over the snapshot, the model for
-  /// property tests.
-  std::vector<Triple> MatchFullScan(const TriplePattern& pattern) const;
+  /// The base's runs; empty for a plain store.
+  const TripleRuns& base() const { return base_; }
+
+  /// The triples written since the base, disjoint from it.
+  TripleRuns delta() const { return {spo_, pos_, osp_}; }
 
  private:
   friend class TripleStore;
   StoreSnapshot() = default;
 
-  const std::vector<Triple>& index(ScanOrder order) const {
-    switch (order) {
-      case ScanOrder::kPos:
-        return pos_;
-      case ScanOrder::kOsp:
-        return osp_;
-      default:
-        return spo_;
-    }
-  }
-
+  std::shared_ptr<const FrameStore> base_owner_;  // keeps base_ mapped
+  TripleRuns base_;
   std::vector<Triple> spo_, pos_, osp_;
 };
 
@@ -99,11 +94,11 @@ class TripleStore : public TripleSource {
  public:
   TripleStore() = default;
 
-  /// A hybrid store over an immutable FrameStore base: the base serves
-  /// reads (ids, terms, triples) while this store holds only the delta
-  /// written since the snapshot. Reads merge both sides behind the
-  /// TripleSource interface; the dictionary overlays the base catalog
-  /// so base ids stay stable.
+  /// A store over an immutable FrameStore base: the base serves reads
+  /// (ids, terms, triples) while this store holds only the delta
+  /// written since the snapshot. Each snapshot reads the base's runs
+  /// beside the delta's; the dictionary overlays the base catalog so
+  /// base ids stay stable.
   explicit TripleStore(std::shared_ptr<const FrameStore> base);
 
   TripleStore(TripleStore&& other) noexcept;
@@ -128,56 +123,34 @@ class TripleStore : public TripleSource {
 
   size_t size() const;
 
-  /// Takes (or reuses) the current immutable snapshot, merging any
-  /// pending writes first. Queries run against the returned view
-  /// lock-free while writers continue appending. For a hybrid store
-  /// this covers the DELTA only — use SnapshotSource() for the merged
-  /// base+delta view.
+  /// Takes (or reuses) the current immutable snapshot, base + delta,
+  /// merging any pending writes into the delta first. Queries run
+  /// against the returned view lock-free while writers continue
+  /// appending.
   std::shared_ptr<const StoreSnapshot> Snapshot() const;
 
-  // TripleSource: scans open against the current snapshot (merged with
-  // the base for hybrid stores); iterators keep their views alive.
+  // TripleSource: scans open against the current snapshot; iterators
+  // keep their views alive.
   std::unique_ptr<ScanIterator> NewScan(
       const TriplePattern& pattern) const override;
   size_t EstimateCount(const TriplePattern& pattern) const override;
   std::shared_ptr<const TripleSource> SnapshotSource() const override;
 
-  /// Invokes `fn` for each triple matching the pattern, in the chosen
-  /// index's order. Return false from fn to stop early. (Thin
-  /// compatibility wrapper over NewScan.)
-  void Scan(const TriplePattern& pattern,
-            const std::function<bool(const Triple&)>& fn) const;
-
   /// All matches of a pattern, materialized.
   std::vector<Triple> Match(const TriplePattern& pattern) const;
-
-  /// Number of matches (uses index ranges; cheap for bound prefixes).
-  size_t CountMatches(const TriplePattern& pattern) const;
-
-  /// Distinct objects for (s, p, *) — convenience for attribute lookup.
-  std::vector<TermId> Objects(TermId s, TermId p) const;
-
-  /// Distinct subjects for (*, p, o).
-  std::vector<TermId> Subjects(TermId p, TermId o) const;
-
-  /// First object for (s, p, *), or kInvalidTermId.
-  TermId FirstObject(TermId s, TermId p) const;
-
-  /// Forces pending writes into the snapshot now (e.g. before timing
-  /// reads).
-  void EnsureIndexed() const { Snapshot(); }
 
   /// Every triple, base and delta, in SPO order: the delta's members
   /// sorted once and merged with the base's SPO run. Builds no
   /// snapshot, so a snapshot writer sorts each permutation only once.
   std::vector<Triple> SpoTriples() const;
 
-  /// Naive full-scan matcher, used as the ablation baseline in E10 and
-  /// as the model for property tests.
+  /// Naive full-scan matcher in SPO order, base and delta, used as the
+  /// brute-force baseline in E10 and as the model for property tests.
   std::vector<Triple> MatchFullScan(const TriplePattern& pattern) const;
 
  private:
   std::shared_ptr<const FrameStore> base_;
+  TripleRuns base_runs_;  // base_'s runs; empty for a plain store
   Dictionary dict_;
 
   mutable std::mutex mu_;  ///< guards set_, pending_, snapshot_

@@ -79,36 +79,5 @@ bool DecodeTripleKey(const Slice& key, TripleOrder* order, rdf::Triple* t) {
   return true;
 }
 
-std::string EncodeTriplePrefix(TripleOrder order, rdf::TermId first) {
-  std::string key;
-  key.reserve(5);
-  key.push_back(static_cast<char>(order));
-  AppendBigEndian32(&key, first);
-  return key;
-}
-
-std::string EncodeTriplePrefix(TripleOrder order, rdf::TermId first,
-                               rdf::TermId second) {
-  std::string key;
-  key.reserve(9);
-  key.push_back(static_cast<char>(order));
-  AppendBigEndian32(&key, first);
-  AppendBigEndian32(&key, second);
-  return key;
-}
-
-std::string PrefixUpperBound(const std::string& prefix) {
-  std::string out = prefix;
-  for (size_t i = out.size(); i > 0; --i) {
-    unsigned char c = static_cast<unsigned char>(out[i - 1]);
-    if (c != 0xff) {
-      out[i - 1] = static_cast<char>(c + 1);
-      out.resize(i);
-      return out;
-    }
-  }
-  return std::string();  // whole keyspace
-}
-
 }  // namespace storage
 }  // namespace kb

@@ -24,18 +24,6 @@ std::string EncodeTripleKey(TripleOrder order, const rdf::Triple& t);
 /// malformed input.
 bool DecodeTripleKey(const Slice& key, TripleOrder* order, rdf::Triple* t);
 
-/// Key prefix selecting all triples with the given first component
-/// under `order` (e.g. all facts of one subject in SPO order).
-std::string EncodeTriplePrefix(TripleOrder order, rdf::TermId first);
-
-/// Key prefix selecting all triples with the given first two
-/// components under `order` (e.g. one subject+predicate in SPO order).
-std::string EncodeTriplePrefix(TripleOrder order, rdf::TermId first,
-                               rdf::TermId second);
-
-/// Key prefix one past `prefix`'s range (for use as scan end bound).
-std::string PrefixUpperBound(const std::string& prefix);
-
 }  // namespace storage
 }  // namespace kb
 

@@ -423,7 +423,7 @@ TEST(ConcurrencyTest, TripleStoreConcurrentScansWhileAppending) {
         });
         // The store only grows, so a later count can never undercut an
         // earlier scan of the same pattern.
-        ASSERT_GE(store.CountMatches(pattern), n);
+        ASSERT_GE(store.EstimateCount(pattern), n);
         scans_done.fetch_add(1);
       }
     });

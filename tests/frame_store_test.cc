@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -42,9 +44,10 @@ std::string TempDir(const std::string& name) {
 
 /// Attaches a FrameStore to a string's bytes (the string outlives the
 /// store via the shared owner).
-StatusOr<std::shared_ptr<FrameStore>> AttachToString(std::string bytes) {
+StatusOr<std::shared_ptr<FrameStore>> AttachToString(
+    std::string bytes, const FrameStore::AttachOptions& options = {}) {
   auto owner = std::make_shared<std::string>(std::move(bytes));
-  return FrameStore::Attach(owner->data(), owner->size(), owner);
+  return FrameStore::Attach(owner->data(), owner->size(), owner, options);
 }
 
 /// A small dictionary exercising every term kind.
@@ -130,7 +133,7 @@ TEST(FrameStoreTest, ScansMatchAllPatternShapes) {
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, expect);
     EXPECT_EQ((*store)->EstimateCount(pattern), expect.size());
-    EXPECT_EQ((*store)->MatchFullScan(pattern).size(), expect.size());
+    EXPECT_EQ((*store)->runs().MatchFullScan(pattern).size(), expect.size());
   };
   TermId a = ids[3], b = ids[5];
   check(TriplePattern{});                        // (*,*,*)
@@ -198,6 +201,85 @@ TEST(FrameStoreTest, CorruptionIsRefused) {
     corrupt[off] = static_cast<char>(corrupt[off] ^ 0x10);
     EXPECT_FALSE(AttachToString(corrupt).ok()) << "offset " << off;
   }
+}
+
+/// Byte offset of section `id` in serialized snapshot bytes, read from
+/// the section table (see the layout in frame_store.h).
+size_t SectionOffset(const std::string& bytes, uint32_t id) {
+  uint32_t count = 0;  // the header's section_count, at offset 48
+  std::memcpy(&count, bytes.data() + 48, sizeof(count));
+  for (uint32_t i = 0; i < count; ++i) {
+    const char* entry = bytes.data() + FrameStore::kHeaderSize +
+                        i * FrameStore::kSectionEntrySize;
+    uint32_t entry_id = 0;
+    std::memcpy(&entry_id, entry, sizeof(entry_id));
+    if (entry_id != id) continue;
+    uint64_t offset = 0;
+    std::memcpy(&offset, entry + 8, sizeof(offset));
+    return static_cast<size_t>(offset);
+  }
+  ADD_FAILURE() << "no section " << id;
+  return 0;
+}
+
+TEST(FrameStoreTest, DictIndexMustListEveryTermOnce) {
+  FrameStoreBuilder builder;
+  for (const Term& t : SampleTerms()) builder.AddTerm(t);
+  builder.AddTriple(Triple(1, 3, 2));
+  auto bytes = builder.Serialize();
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+
+  // Overwrite term 2's slot with term 1: one live slot per term still,
+  // but id 1 twice and id 2 nowhere, so LookupTerm could not find term
+  // 2 and interning it again would mint a second id. Checksums are
+  // off, as a crafted file's recomputed CRCs would pass them.
+  std::string crafted = *bytes;
+  const size_t dict = SectionOffset(crafted, FrameStore::kSectionDictIndex);
+  uint64_t n_slots = 0;
+  std::memcpy(&n_slots, crafted.data() + dict, sizeof(n_slots));
+  size_t replaced = 0;
+  for (uint64_t i = 0; i < n_slots; ++i) {
+    char* slot = crafted.data() + dict + 8 + 4 * i;
+    uint32_t id = 0;
+    std::memcpy(&id, slot, sizeof(id));
+    if (id != 2) continue;
+    const uint32_t one = 1;
+    std::memcpy(slot, &one, sizeof(one));
+    ++replaced;
+  }
+  ASSERT_EQ(replaced, 1u);
+  FrameStore::AttachOptions no_crc;
+  no_crc.verify_checksums = false;
+  EXPECT_TRUE(AttachToString(*bytes, no_crc).ok());
+  auto store = AttachToString(std::move(crafted), no_crc);
+  ASSERT_FALSE(store.ok()) << "a dict index missing term 2 attached";
+  EXPECT_TRUE(store.status().IsCorruption()) << store.status();
+}
+
+TEST(FrameStoreTest, MisalignedRunSectionsAreRefused) {
+  // Runs are read in place as 4-aligned Triples. A valid snapshot
+  // copied to an address one past a multiple of 4 must be refused
+  // before anything reads a run (the ASan+UBSan build checks that).
+  FrameStoreBuilder builder;
+  for (const Term& t : SampleTerms()) builder.AddTerm(t);
+  builder.AddTriple(Triple(1, 3, 2));
+  builder.AddTriple(Triple(2, 3, 1));
+  auto bytes = builder.Serialize();
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  auto buffer = std::make_shared<std::vector<char>>(bytes->size() + 8);
+  char* at = buffer->data();
+  while (reinterpret_cast<uintptr_t>(at) % 4 != 1) ++at;
+  std::memcpy(at, bytes->data(), bytes->size());
+  auto store = FrameStore::Attach(at, bytes->size(), buffer);
+  ASSERT_FALSE(store.ok());
+  EXPECT_TRUE(store.status().IsInvalidArgument()) << store.status();
+  // The same bytes at an aligned address attach and scan.
+  at += 3;
+  std::memcpy(at, bytes->data(), bytes->size());
+  store = FrameStore::Attach(at, bytes->size(), buffer);
+  ASSERT_TRUE(store.ok()) << store.status();
+  EXPECT_EQ((*store)->EstimateCount(TriplePattern{}), 2u);
+  EXPECT_TRUE((*store)->Contains(Triple(2, 3, 1)));
 }
 
 TEST(HybridStoreTest, DeltaStaysDisjointAndReadsMerge) {
@@ -281,7 +363,7 @@ TEST(KbVolumeTest, CheckpointPreservesContentEpochAndMeta) {
   EXPECT_EQ(kb.epoch(), epoch_before);
   EXPECT_EQ(kb.NumEntities(), entities_before);
   ASSERT_NE(kb.store().base(), nullptr);
-  EXPECT_EQ(kb.store().Snapshot()->size(), 0u) << "delta must be empty";
+  EXPECT_EQ(kb.store().Snapshot()->delta().size(), 0u) << "delta must be empty";
 
   // Packed metadata serves through MetaOf and merges on re-assert.
   Triple t(kb.EntityTerm("Steve_Jobs"), kb.PropertyTerm("founded"),

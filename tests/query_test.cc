@@ -9,6 +9,8 @@
 #include "rdf/frame_store.h"
 #include "rdf/namespaces.h"
 #include "rdf/term.h"
+#include "rdf/triple_store.h"
+#include "util/statusor.h"
 
 namespace kb {
 namespace query {
@@ -702,6 +704,20 @@ std::vector<std::vector<TermId>> AggRows(const std::vector<Binding>& rows,
   return out;
 }
 
+/// A FrameStore over `store`'s terms (same ids) and `triples`.
+StatusOr<std::shared_ptr<rdf::FrameStore>> AttachMirror(
+    const rdf::TripleStore& store, const std::vector<rdf::Triple>& triples) {
+  rdf::FrameStoreBuilder builder;
+  for (TermId id = 1; id <= store.dict().size(); ++id) {
+    builder.AddTerm(store.dict().term(id));
+  }
+  builder.AddTriples(triples);
+  auto bytes = builder.Serialize();
+  if (!bytes.ok()) return bytes.status();
+  auto owner = std::make_shared<std::string>(std::move(*bytes));
+  return rdf::FrameStore::Attach(owner->data(), owner->size(), owner);
+}
+
 TEST(QueryPropertyTest, AggregatesMatchBruteForceOnBothStores) {
   for (uint32_t seed : {3u, 11u, 29u}) {
     std::mt19937 rng(seed);
@@ -723,22 +739,29 @@ TEST(QueryPropertyTest, AggregatesMatchBruteForceOnBothStores) {
     }
 
     // Mirror the store into a FrameStore (same term ids), so every
-    // trial also runs against the mmap-shaped source.
-    rdf::FrameStoreBuilder builder;
-    for (TermId id = 1; id <= store.dict().size(); ++id) {
-      builder.AddTerm(store.dict().term(id));
+    // trial also runs against the mmap-shaped source. A second
+    // FrameStore holds about half of the triples as the base of a
+    // snapshot-booted store, which gets all of them added on top: its
+    // scans merge base and delta runs.
+    const std::vector<rdf::Triple> all =
+        store.MatchFullScan(rdf::TriplePattern());
+    // Its own generator, so the trials below draw the same queries.
+    std::mt19937 split(seed + 1);
+    std::vector<rdf::Triple> half;
+    for (const rdf::Triple& t : all) {
+      if (split() % 2) half.push_back(t);
     }
-    for (const rdf::Triple& t : store.MatchFullScan(rdf::TriplePattern())) {
-      builder.AddTriple(t);
-    }
-    auto bytes = builder.Serialize();
-    ASSERT_TRUE(bytes.ok()) << bytes.status();
-    auto owner = std::make_shared<std::string>(std::move(*bytes));
-    auto frame = rdf::FrameStore::Attach(owner->data(), owner->size(), owner);
+    auto frame = AttachMirror(store, all);
     ASSERT_TRUE(frame.ok()) << frame.status();
+    auto base = AttachMirror(store, half);
+    ASSERT_TRUE(base.ok()) << base.status();
+    rdf::TripleStore booted(*base);
+    for (const rdf::Triple& t : all) booted.Add(t);
+    ASSERT_EQ(booted.size(), all.size());
 
     QueryEngine store_engine(&store);
     QueryEngine frame_engine(frame->get());
+    QueryEngine booted_engine(&booted);
     const char* vars[] = {"x", "y", "z"};
     for (int trial = 0; trial < 30; ++trial) {
       SelectQuery q;
@@ -779,6 +802,7 @@ TEST(QueryPropertyTest, AggregatesMatchBruteForceOnBothStores) {
       };
       check(store_engine, "store");
       check(frame_engine, "frame");
+      check(booted_engine, "base+delta");
     }
   }
 }

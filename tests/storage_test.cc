@@ -657,17 +657,6 @@ TEST(TripleCodecTest, KeyOrderMatchesTripleOrder) {
   EXPECT_LT(kb, kc);
 }
 
-TEST(TripleCodecTest, PrefixSelectsSubject) {
-  rdf::Triple t(7, 8, 9);
-  std::string key = EncodeTripleKey(TripleOrder::kSpo, t);
-  std::string prefix = EncodeTriplePrefix(TripleOrder::kSpo, 7);
-  EXPECT_TRUE(Slice(key).starts_with(Slice(prefix)));
-  std::string upper = PrefixUpperBound(prefix);
-  EXPECT_LT(key, upper);
-  std::string other = EncodeTripleKey(TripleOrder::kSpo, rdf::Triple(8, 0, 0));
-  EXPECT_GE(other, upper);
-}
-
 TEST(TripleCodecTest, RejectsMalformedKeys) {
   TripleOrder order;
   rdf::Triple t;
@@ -675,21 +664,6 @@ TEST(TripleCodecTest, RejectsMalformedKeys) {
   std::string key = EncodeTripleKey(TripleOrder::kSpo, rdf::Triple(1, 2, 3));
   key[0] = 'X';
   EXPECT_FALSE(DecodeTripleKey(Slice(key), &order, &t));
-}
-
-TEST(TripleCodecTest, TwoComponentPrefixSelectsSubjectPredicate) {
-  rdf::Triple in(7, 8, 9), out_p(7, 9, 1), out_s(8, 8, 9);
-  std::string prefix = EncodeTriplePrefix(TripleOrder::kSpo, 7, 8);
-  std::string upper = PrefixUpperBound(prefix);
-  std::string key = EncodeTripleKey(TripleOrder::kSpo, in);
-  EXPECT_TRUE(Slice(key).starts_with(Slice(prefix)));
-  EXPECT_LT(key, upper);
-  EXPECT_GE(EncodeTripleKey(TripleOrder::kSpo, out_p), upper);
-  EXPECT_GE(EncodeTripleKey(TripleOrder::kSpo, out_s), upper);
-  // In POS order the two components are (p, o).
-  std::string pos_prefix = EncodeTriplePrefix(TripleOrder::kPos, 8, 9);
-  EXPECT_TRUE(Slice(EncodeTripleKey(TripleOrder::kPos, in))
-                  .starts_with(Slice(pos_prefix)));
 }
 
 // ---------------------------------------------------------- Block cache
