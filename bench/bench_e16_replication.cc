@@ -309,7 +309,7 @@ RideThroughRun RunRideThrough(int num_replicas, uint64_t preload,
   // ring and names the router builds, so the mapping is exact).
   const std::string stalled_name =
       "replica:" + std::to_string(followers[0]->server->port());
-  replication::HashRing ring(router_options.virtual_nodes);
+  replication::HashRing ring;
   for (int port : router_options.replica_ports) {
     ring.Add("replica:" + std::to_string(port));
   }

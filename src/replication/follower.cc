@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "server/protocol.h"
+#include "server/wire_fact.h"
 #include "storage/wal.h"
 #include "util/logging.h"
 
@@ -87,14 +88,7 @@ StatusOr<std::unique_ptr<FollowerReplica>> FollowerReplica::Open(
         if (!ParseFactKey(key, &seq)) return true;
         server::WireFact fact;
         if (!DecodeFactRecord(value, &fact).ok()) return true;
-        core::FactMeta meta;
-        meta.confidence = fact.confidence;
-        meta.support = fact.support;
-        if (fact.has_year) {
-          kb->AssertYearFact(fact.s, fact.p, fact.year, meta);
-        } else {
-          kb->AssertFact(fact.s, fact.p, fact.o, meta);
-        }
+        server::AssertWireFact(fact, kb);
         ++rebuilt;
         return true;
       });
@@ -299,16 +293,7 @@ Status FollowerReplica::ApplyRecord(const Slice& key, const Slice& value) {
   // record on restart (both sides idempotent).
   s = store_->Put(key, value);
   if (!s.ok()) return s;
-  auto assert_fact = [&] {
-    core::FactMeta meta;
-    meta.confidence = fact.confidence;
-    meta.support = fact.support;
-    if (fact.has_year) {
-      kb_->AssertYearFact(fact.s, fact.p, fact.year, meta);
-    } else {
-      kb_->AssertFact(fact.s, fact.p, fact.o, meta);
-    }
-  };
+  auto assert_fact = [&] { server::AssertWireFact(fact, kb_); };
   if (server_ != nullptr) {
     server_->WithWriteLock(assert_fact);
   } else {

@@ -19,52 +19,25 @@
 // catches up from the WAL tail as usual. The snapshot must come from
 // the same leader lineage so term ids line up with the shipped WAL.
 
-#include <signal.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
 #include "core/harvester.h"
 #include "core/kb_snapshot.h"
 #include "replication/follower.h"
+#include "server/cli.h"
 #include "server/kb_server.h"
-
-namespace {
-
-int g_signal_pipe[2] = {-1, -1};
-
-void OnSignal(int) {
-  char byte = 0;
-  [[maybe_unused]] ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
-}
-
-bool FlagValue(const char* arg, const char* name, long* out) {
-  size_t len = ::strlen(name);
-  if (::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = ::strtol(arg + len + 1, nullptr, 10);
-  return true;
-}
-
-bool FlagString(const char* arg, const char* name, std::string* out) {
-  size_t len = ::strlen(name);
-  if (::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace kb;
+  using server::FlagString;
+  using server::FlagValue;
 
-  // Workers must exceed a fronting router's workers + 1: the router
-  // parks one cached data connection per worker plus one persistent
-  // health connection on every backend (DESIGN.md §5d).
+  // The connection cap (workers + queue unless --max-connections is
+  // set) must exceed a fronting router's workers + 1: the router parks
+  // one cached data connection per worker plus one persistent health
+  // connection on every backend (DESIGN.md §5d).
   long port = 7481, workers = 8, queue = 16, cache_bytes = 8 << 20;
   long persons = 400, seed = 4242, drain_ms = 2000;
   long leader_repl_port = -1;
@@ -97,14 +70,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (::pipe(g_signal_pipe) != 0) {
+  if (!server::TrapStopSignals()) {
     ::fprintf(stderr, "pipe failed\n");
     return 1;
   }
-  struct sigaction action{};
-  action.sa_handler = OnSignal;
-  ::sigaction(SIGINT, &action, nullptr);
-  ::sigaction(SIGTERM, &action, nullptr);
 
   // The base KB must match the leader's — either mapped from the
   // leader's shipped snapshot artifact, or re-derived byte for byte
@@ -173,9 +142,7 @@ int main(int argc, char** argv) {
            server.port(), leader_repl_port);
   ::fflush(stdout);
 
-  char byte;
-  while (::read(g_signal_pipe[0], &byte, 1) < 0 && errno == EINTR) {
-  }
+  server::WaitForStopSignal();
   ::printf("draining\n");
   ::fflush(stdout);
   replica->Stop();

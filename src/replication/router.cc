@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <utility>
 
@@ -21,43 +22,29 @@
 namespace kb {
 namespace replication {
 
-namespace {
-
-std::string ErrorJson(const std::string& error, const std::string& message) {
-  server::Json response = server::Json::Object();
-  response.Set("status", server::Json::Str("error"));
-  response.Set("error", server::Json::Str(error));
-  response.Set("message", server::Json::Str(message));
-  return response.Dump();
-}
-
-std::string OverloadedJson(int retry_after_ms) {
-  server::Json response = server::Json::Object();
-  response.Set("status", server::Json::Str("overloaded"));
-  response.Set("error", server::Json::Str("overloaded"));
-  response.Set("retry_after_ms", server::Json::Number(retry_after_ms));
-  return response.Dump();
-}
-
-}  // namespace
+using server::ErrorResponse;
 
 struct Router::Metrics {
   Counter& requests;
-  Counter& rejected;
   Counter& errors;
   Counter& failovers;    ///< forwarding attempts that moved on
   Counter& ejections;    ///< replicas removed from the ring
   Counter& readmissions; ///< ejected replicas restored by a probe
   Counter& stale_skips;  ///< replicas skipped for lagging min_epoch
+  server::EventServerMetrics core;
 
   static Metrics* Get() {
     static Metrics* m = [] {
       MetricsRegistry& r = MetricsRegistry::Default();
+      server::EventServerMetrics core;
+      core.open_connections = &r.gauge("router.open_connections");
+      core.rejected = &r.counter("router.rejected");
+      core.errors = &r.counter("router.errors");
       return new Metrics{
-          r.counter("router.requests"),    r.counter("router.rejected"),
-          r.counter("router.errors"),      r.counter("router.failovers"),
-          r.counter("router.ejections"),   r.counter("router.readmissions"),
-          r.counter("router.stale_skips"),
+          r.counter("router.requests"),     r.counter("router.errors"),
+          r.counter("router.failovers"),    r.counter("router.ejections"),
+          r.counter("router.readmissions"), r.counter("router.stale_skips"),
+          core,
       };
     }();
     return m;
@@ -67,8 +54,9 @@ struct Router::Metrics {
 Router::Router(const Options& options)
     : options_(options),
       metrics_(Metrics::Get()),
-      ring_(options.virtual_nodes),
-      failover_policy_(options.failover) {
+      failover_policy_(options.failover),
+      server_(options, metrics_->core,
+              std::bind_front(&Router::RouteRequest, this)) {
   Backend leader;
   leader.name = "leader";
   leader.port = options_.leader_port;
@@ -86,75 +74,20 @@ Router::Router(const Options& options)
 Router::~Router() { Stop(); }
 
 Status Router::Start() {
-  server::EventServerOptions ev;
-  ev.port = options_.port;
-  ev.io_threads = options_.io_threads;
-  ev.backlog = options_.backlog;
-  size_t workers =
-      static_cast<size_t>(options_.num_workers > 0 ? options_.num_workers : 1);
-  ev.max_connections = options_.max_connections > 0
-                           ? options_.max_connections
-                           : workers + options_.queue_depth;
-  ev.idle_timeout_ms = options_.idle_timeout_ms;
-  ev.max_pipeline = options_.max_pipeline;
-  ev.open_connections =
-      &MetricsRegistry::Default().gauge("router.open_connections");
-  ev.sheds = &metrics_->rejected;
-
-  server::EventHooks hooks;
-  hooks.on_frame = [this](const server::ConnRef& conn, uint64_t seq,
-                          std::string payload) {
-    OnFrame(conn, seq, std::move(payload));
-  };
-  hooks.bad_frame_response = [this](const std::string& message) {
-    metrics_->errors.Increment();
-    return ErrorJson("bad_frame", message);
-  };
-  hooks.shed_response = OverloadedJson(options_.retry_after_ms);
-
-  event_server_ =
-      std::make_unique<server::EventServer>(ev, std::move(hooks));
-  Status s = event_server_->Start();
-  if (!s.ok()) {
-    event_server_.reset();
-    return s;
-  }
-  port_ = event_server_->port();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    started_ = true;
-    stopping_ = false;
-  }
+  Status s = server_.Start();
+  if (!s.ok()) return s;
   health_ = std::thread([this] { HealthLoop(); });
-  int workers_n = options_.num_workers > 0 ? options_.num_workers : 1;
-  workers_.reserve(static_cast<size_t>(workers_n));
-  for (int i = 0; i < workers_n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
   return Status::OK();
 }
 
 void Router::Stop() {
+  server_.Stop();
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!started_ || stopping_) {
-      stopping_ = true;
-      return;
-    }
-    stopping_ = true;
+    std::lock_guard<std::mutex> lock(health_mu_);
+    health_stop_ = true;
   }
-  work_cv_.notify_all();
   health_cv_.notify_all();
-  // I/O threads first: any in-flight worker Complete() after this is
-  // dropped at the loop's post gate.
-  if (event_server_) event_server_->Stop();
   if (health_.joinable()) health_.join();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
-  std::lock_guard<std::mutex> lock(mu_);
-  reqs_.clear();
 }
 
 std::vector<std::string> Router::healthy_replicas() const {
@@ -166,48 +99,12 @@ std::vector<std::string> Router::healthy_replicas() const {
   return names;
 }
 
-void Router::OnFrame(const server::ConnRef& conn, uint64_t seq,
-                     std::string payload) {
-  bool admitted = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!stopping_ && reqs_.size() < options_.queue_depth) {
-      reqs_.push_back(PendingRequest{conn, seq, std::move(payload)});
-      admitted = true;
-    }
-  }
-  if (admitted) {
-    work_cv_.notify_one();
-    return;
-  }
-  metrics_->rejected.Increment();
-  conn->Complete(seq, OverloadedJson(options_.retry_after_ms),
-                 /*close_after=*/true);
-}
-
-void Router::WorkerLoop() {
-  for (;;) {
-    PendingRequest work;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stopping_ || !reqs_.empty(); });
-      if (stopping_) return;
-      work = std::move(reqs_.front());
-      reqs_.pop_front();
-    }
-    std::string response;
-    RouteRequest(work.payload, &response);
-    work.conn->Complete(work.seq, std::move(response));
-  }
-}
-
-void Router::RouteRequest(const std::string& payload, std::string* response) {
+std::string Router::RouteRequest(const std::string& payload) {
   metrics_->requests.Increment();
   auto request = server::Json::Parse(payload);
   if (!request.ok()) {
     metrics_->errors.Increment();
-    *response = ErrorJson("bad_request", request.status().message());
-    return;
+    return ErrorResponse("bad_request", request.status().message());
   }
   const std::string op = request->GetString("op");
 
@@ -231,22 +128,22 @@ void Router::RouteRequest(const std::string& payload, std::string* response) {
       }
     }
     body.Set("backends", std::move(list));
-    *response = body.Dump();
-    return;
+    return body.Dump();
   }
   if (op == "metrics") {
     server::Json body = server::Json::Object();
     body.Set("status", server::Json::Str("ok"));
     body.Set("text", server::Json::Str(
                          MetricsRegistry::Default().Snapshot().ToText()));
-    *response = body.Dump();
-    return;
+    return body.Dump();
   }
 
   const bool is_read = op == "query" || op == "entity_card";
-  uint64_t min_epoch = 0;
-  if ((*request)["min_epoch"].is_number()) {
-    min_epoch = static_cast<uint64_t>((*request)["min_epoch"].as_number());
+  double min_epoch = 0;
+  if (std::string bad = server::ReadNumber(*request, "min_epoch", 0,
+                                           server::kMaxWireInteger, &min_epoch);
+      !bad.empty()) {
+    return bad;
   }
   const std::string key =
       op == "query" ? request->GetString("sparql")
@@ -256,18 +153,19 @@ void Router::RouteRequest(const std::string& payload, std::string* response) {
   // sleep gives the health thread time to eject the dead backend and
   // the next attempt routes around it — how an in-flight query
   // survives the replica serving it being killed.
+  std::string response;
   Status final = failover_policy_.Run(
       [&]() -> Status {
         std::vector<int> order;
         if (is_read) {
-          order = ReadOrder(key, min_epoch);
+          order = ReadOrder(key, static_cast<uint64_t>(min_epoch));
         } else {
           order.push_back(options_.leader_port);
         }
         Status last = Status::Unavailable("no live backend");
         bool first = true;
         for (int port : order) {
-          Status s = ForwardOnce(port, *request, response);
+          Status s = ForwardOnce(port, *request, &response);
           if (s.ok()) return s;
           last = s;
           if (!first || order.size() == 1) metrics_->failovers.Increment();
@@ -280,10 +178,11 @@ void Router::RouteRequest(const std::string& payload, std::string* response) {
       });
   if (!final.ok()) {
     metrics_->errors.Increment();
-    *response = ErrorJson("unavailable",
-                          "no backend could serve the request: " +
-                              final.message());
+    return ErrorResponse("unavailable",
+                         "no backend could serve the request: " +
+                             final.message());
   }
+  return response;
 }
 
 std::vector<int> Router::ReadOrder(const std::string& key,
@@ -356,12 +255,12 @@ void Router::HealthLoop() {
       }
     }
     for (Backend* backend : due) CheckBackend(backend);
-    std::unique_lock<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(health_mu_);
     bool stopped = health_cv_.wait_for(
         lock,
         std::chrono::duration<double, std::milli>(
             options_.health_interval_ms),
-        [this] { return stopping_; });
+        [this] { return health_stop_; });
     if (stopped) return;
   }
 }
@@ -395,10 +294,9 @@ void Router::CheckBackend(Backend* backend) {
     if (backend->is_leader) leader_epoch_ = backend->applied_epoch;
     // A replica restarted from scratch answers health checks long
     // before it holds the data; readmitting it immediately would serve
-    // near-empty reads. Keep probing until it has caught up.
+    // near-empty reads. Keep probing until it has fully caught up.
     const bool caught_up =
-        backend->is_leader ||
-        backend->applied_epoch + options_.max_readmit_lag >= leader_epoch_;
+        backend->is_leader || backend->applied_epoch >= leader_epoch_;
     if (!backend->healthy && caught_up) {
       // Probe succeeded on a caught-up backend: restore.
       backend->healthy = true;

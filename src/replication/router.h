@@ -4,9 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -23,11 +21,12 @@
 namespace kb {
 namespace replication {
 
-/// The replicated tier's front door. Speaks the same length-prefixed
-/// JSON protocol as KbServer — over the same epoll event core
-/// (server/event_loop.h), so thousands of keep-alive clients can hold
-/// pipelined connections to the router — and existing clients and
-/// load generators point at it unchanged; behind it:
+/// The replicated tier's front door: a request handler on the same
+/// core as KbServer (server/event_loop.h: epoll I/O threads, bounded
+/// admission queue, worker pool, shedding, drain), so thousands of
+/// keep-alive clients can hold pipelined connections to the router and
+/// existing clients and load generators point at it unchanged. Behind
+/// it:
 ///
 ///   - writes (insert_facts) always go to the leader,
 ///   - reads (query / entity_card) consistent-hash onto the healthy
@@ -51,30 +50,17 @@ namespace replication {
 /// trigger failover instead of reaching the client.
 class Router {
  public:
-  struct Options {
-    int port = 0;                    ///< client-facing; 0 = ephemeral
+  /// The client-facing transport and admission settings come from
+  /// EventServerOptions; the router queues up to 32 requests.
+  struct Options : server::EventServerOptions {
+    Options() { queue_depth = 32; }
+
     int leader_port = 0;             ///< leader KbServer
     std::vector<int> replica_ports;  ///< follower KbServers
-    int num_workers = 4;
-    size_t queue_depth = 32;
-    int io_threads = 2;              ///< epoll I/O threads (front door)
-    int backlog = 0;                 ///< listen(2) backlog; <= 0 = SOMAXCONN
-    /// Open-connection cap; 0 derives num_workers + queue_depth (every
-    /// worker busy plus a full queue).
-    size_t max_connections = 0;
-    double idle_timeout_ms = 0;      ///< idle client reaping; 0 = never
-    size_t max_pipeline = 128;       ///< per-connection pipelining cap
-    int retry_after_ms = 20;         ///< hint on router-level sheds
     double backend_timeout_ms = 1000;
     double health_interval_ms = 50;
     double probe_interval_ms = 100;
     int fail_threshold = 2;
-    /// A probed replica is readmitted only once its applied epoch is
-    /// within this many epochs of the leader's last-seen epoch, so a
-    /// replica restarted from scratch does not serve near-empty reads
-    /// while it backfills. 0 = must have fully caught up.
-    uint64_t max_readmit_lag = 0;
-    int virtual_nodes = 64;
     /// Failover budget across ring walks (RetryOptions semantics).
     RetryOptions failover;
   };
@@ -88,7 +74,7 @@ class Router {
   Status Start();
   void Stop();
 
-  int port() const { return port_; }
+  int port() const { return server_.port(); }
   /// Names ("replica:<port>") currently in the read ring.
   std::vector<std::string> healthy_replicas() const;
 
@@ -104,20 +90,9 @@ class Router {
   };
   struct Metrics;
 
-  /// One parsed frame waiting for (or held by) a worker.
-  struct PendingRequest {
-    server::ConnRef conn;
-    uint64_t seq = 0;
-    std::string payload;
-  };
-
-  /// I/O-thread handoff: admission-check into the bounded request
-  /// queue (shed with the retry hint when full).
-  void OnFrame(const server::ConnRef& conn, uint64_t seq,
-               std::string payload);
-  void WorkerLoop();
-  /// Routes one request payload; fills `response` (always).
-  void RouteRequest(const std::string& payload, std::string* response);
+  /// The RequestHandler: routes one request payload to a backend and
+  /// returns the response.
+  std::string RouteRequest(const std::string& payload);
   /// One forwarding attempt to one backend. OK = `response` is the
   /// backend's verbatim reply (possibly an application error the
   /// client should see); Unavailable/IOError = try another backend.
@@ -131,31 +106,26 @@ class Router {
   Options options_;
   Metrics* metrics_;
 
-  std::unique_ptr<server::EventServer> event_server_;
-  int port_ = 0;
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::deque<PendingRequest> reqs_;  ///< parsed, waiting for a worker
-  bool stopping_ = false;
-  bool started_ = false;
-
   mutable std::mutex state_mu_;  ///< guards backends_ + ring_
   std::vector<Backend> backends_;
   HashRing ring_;
   uint64_t leader_epoch_ = 0;  ///< from the leader's last good check
 
+  std::mutex health_mu_;
   std::condition_variable health_cv_;  ///< cuts health sleeps short
+  bool health_stop_ = false;           ///< guarded by health_mu_
   /// One persistent connection per backend port, health thread only.
-  /// Persistent on purpose: a fresh connection per probe would queue
-  /// behind the workers' cached forwarding connections on a saturated
-  /// backend and time out even though the backend is healthy. (Size
-  /// backend worker pools for router workers + 1.)
+  /// Persistent on purpose: the workers' cached forwarding connections
+  /// can fill a backend's connection cap, and a fresh connection per
+  /// probe would then be shed and count as a failed check although the
+  /// backend is healthy. (Size backend connection caps above router
+  /// workers + 1.)
   std::map<int, server::KbClient> health_conns_;
   RetryPolicy failover_policy_;
 
   std::thread health_;
-  std::vector<std::thread> workers_;
+  /// Declared last: its workers run RouteRequest over everything above.
+  server::EventServer server_;
 };
 
 }  // namespace replication

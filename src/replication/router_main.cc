@@ -20,40 +20,15 @@
 // silent clients, --max-pipeline bounds per-connection in-flight
 // requests.
 
-#include <signal.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "replication/router.h"
+#include "server/cli.h"
 
 namespace {
-
-int g_signal_pipe[2] = {-1, -1};
-
-void OnSignal(int) {
-  char byte = 0;
-  [[maybe_unused]] ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
-}
-
-bool FlagValue(const char* arg, const char* name, long* out) {
-  size_t len = ::strlen(name);
-  if (::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = ::strtol(arg + len + 1, nullptr, 10);
-  return true;
-}
-
-bool FlagString(const char* arg, const char* name, std::string* out) {
-  size_t len = ::strlen(name);
-  if (::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
-}
 
 std::vector<int> ParsePorts(const std::string& csv) {
   std::vector<int> ports;
@@ -73,6 +48,8 @@ std::vector<int> ParsePorts(const std::string& csv) {
 
 int main(int argc, char** argv) {
   using namespace kb;
+  using server::FlagString;
+  using server::FlagValue;
 
   long port = 7490, workers = 4;
   long io_threads = 2, backlog = 0, max_connections = 0;
@@ -130,6 +107,13 @@ int main(int argc, char** argv) {
   options.probe_interval_ms = static_cast<double>(probe_interval_ms);
   options.fail_threshold = static_cast<int>(fail_threshold);
   options.backend_timeout_ms = static_cast<double>(backend_timeout_ms);
+
+  // Trapped before Start, so a SIGTERM that lands between Start and the
+  // port line still stops the router cleanly instead of killing it.
+  if (!server::TrapStopSignals()) {
+    ::fprintf(stderr, "pipe failed\n");
+    return 1;
+  }
   replication::Router router(options);
   Status status = router.Start();
   if (!status.ok()) {
@@ -140,17 +124,7 @@ int main(int argc, char** argv) {
            router.port(), leader_port, options.replica_ports.size());
   ::fflush(stdout);
 
-  if (::pipe(g_signal_pipe) != 0) {
-    ::fprintf(stderr, "pipe failed\n");
-    return 1;
-  }
-  struct sigaction action{};
-  action.sa_handler = OnSignal;
-  ::sigaction(SIGINT, &action, nullptr);
-  ::sigaction(SIGTERM, &action, nullptr);
-  char byte;
-  while (::read(g_signal_pipe[0], &byte, 1) < 0 && errno == EINTR) {
-  }
+  server::WaitForStopSignal();
   ::printf("shutting down\n");
   router.Stop();
   return 0;

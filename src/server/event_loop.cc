@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <exception>
 #include <utility>
 
 #include "server/protocol.h"
@@ -37,15 +38,24 @@ std::string FrameOf(const std::string& payload) {
   return framed;
 }
 
+void Bump(Counter* counter) {
+  if (counter != nullptr) counter->Increment();
+}
+
+void Level(Gauge* gauge, int64_t delta) {
+  if (gauge != nullptr) gauge->Add(delta);
+}
+
+void SetLevel(Gauge* gauge, size_t value) {
+  if (gauge != nullptr) gauge->Set(static_cast<int64_t>(value));
+}
+
 }  // namespace
 
-EventLoop::EventLoop(const EventServerOptions* options,
-                     const EventHooks* hooks, std::atomic<size_t>* open_conns,
-                     std::atomic<bool>* draining)
-    : options_(options),
-      hooks_(hooks),
-      open_conns_(open_conns),
-      draining_(draining),
+EventLoop::EventLoop(EventServer* server)
+    : server_(server),
+      options_(&server->options_),
+      metrics_(&server->metrics_),
       last_sweep_(std::chrono::steady_clock::now()) {}
 
 EventLoop::~EventLoop() {
@@ -117,9 +127,7 @@ void EventLoop::Run() {
       if (errno == EINTR) continue;
       break;
     }
-    if (options_->epoll_wakeups != nullptr) {
-      options_->epoll_wakeups->Increment();
-    }
+    Bump(metrics_->epoll_wakeups);
     for (int i = 0; i < n; ++i) {
       uint64_t tag = events[i].data.u64;
       if (tag == kWakeTag) {
@@ -165,33 +173,26 @@ void EventLoop::AcceptReady() {
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    bool shed = stop_requested_ || draining_->load();
-    if (!shed && options_->max_connections > 0) {
-      // fetch_add-then-check so two loops racing past the cap cannot
-      // both admit.
-      if (open_conns_->fetch_add(1) >= options_->max_connections) {
-        open_conns_->fetch_sub(1);
-        shed = true;
-      }
-    } else if (!shed) {
-      open_conns_->fetch_add(1);
+    bool shed = stop_requested_ || server_->draining_.load();
+    // fetch_add-then-check so two loops racing past the cap cannot both
+    // admit.
+    if (!shed &&
+        server_->open_conns_.fetch_add(1) >= options_->max_connections) {
+      server_->open_conns_.fetch_sub(1);
+      shed = true;
     }
     if (shed) {
       ShedAccept(fd);
       continue;
     }
-    if (options_->open_connections != nullptr) {
-      options_->open_connections->Add(1);
-    }
+    Level(metrics_->open_connections, 1);
     auto conn = std::make_shared<Conn>(this, fd, ++next_conn_id_);
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.ptr = conn.get();
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      open_conns_->fetch_sub(1);
-      if (options_->open_connections != nullptr) {
-        options_->open_connections->Add(-1);
-      }
+      server_->open_conns_.fetch_sub(1);
+      Level(metrics_->open_connections, -1);
       continue;  // conn's destructor closes the fd
     }
     conns_.emplace(fd, std::move(conn));
@@ -199,13 +200,11 @@ void EventLoop::AcceptReady() {
 }
 
 void EventLoop::ShedAccept(int fd) {
-  if (options_->sheds != nullptr) options_->sheds->Increment();
-  if (!hooks_->shed_response.empty()) {
-    // Best effort: tell the peer why before hanging up. If the socket
-    // buffer is somehow full we close anyway rather than block.
-    std::string framed = FrameOf(hooks_->shed_response);
-    ::send(fd, framed.data(), framed.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
-  }
+  Bump(metrics_->rejected);
+  // Best effort: tell the peer why before hanging up. If the socket
+  // buffer is somehow full we close anyway rather than block.
+  std::string framed = FrameOf(server_->overloaded_);
+  ::send(fd, framed.data(), framed.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
   ::close(fd);
 }
 
@@ -268,28 +267,26 @@ void EventLoop::ParseFrames(Conn* conn) {
       // The stream cannot be re-framed past this point; answer (in
       // order, behind anything already in flight) and close.
       uint64_t seq = conn->next_seq_++;
-      std::string response;
-      if (hooks_->bad_frame_response) {
-        response = hooks_->bad_frame_response(
-            "frame length " + std::to_string(len) + " exceeds limit " +
-            std::to_string(kMaxFrameBytes));
-      }
-      CompleteOnLoop(conn, seq, std::move(response), /*close_after=*/true);
+      Bump(metrics_->errors);
+      std::string message = "frame length " + std::to_string(len) +
+                            " exceeds limit " + std::to_string(kMaxFrameBytes);
+      CompleteOnLoop(conn, seq, ErrorResponse("bad_frame", message),
+                     /*close_after=*/true);
       break;
     }
     if (avail - 4 < len) break;  // wait for the rest of the payload
     std::string payload = conn->rbuf_.substr(conn->rpos_ + 4, len);
     conn->rpos_ += 4 + static_cast<size_t>(len);
     uint64_t seq = conn->next_seq_++;
-    if (seq > conn->next_flush_ && options_->pipelined_frames != nullptr) {
+    if (seq > conn->next_flush_) {
       // An earlier frame is still unanswered: the client pipelined.
-      options_->pipelined_frames->Increment();
+      Bump(metrics_->pipelined_frames);
     }
     if (conn->next_seq_ - conn->next_flush_ >= options_->max_pipeline) {
       conn->read_paused_ = true;
       UpdateInterest(conn);
     }
-    hooks_->on_frame(conns_.at(conn->fd_), seq, std::move(payload));
+    server_->Admit(conns_.at(conn->fd_), seq, std::move(payload));
     if (conn->read_paused_) break;
   }
   if (conn->closed_) return;
@@ -421,7 +418,7 @@ void EventLoop::SweepIdle() {
     if (idle_ms >= options_->idle_timeout_ms) idle.push_back(conn.get());
   }
   for (Conn* conn : idle) {
-    if (options_->idle_closed != nullptr) options_->idle_closed->Increment();
+    Bump(metrics_->idle_closed);
     CloseConn(conn);
   }
 }
@@ -440,18 +437,30 @@ void EventLoop::CloseConn(Conn* conn) {
     graveyard_.push_back(std::move(it->second));
     conns_.erase(it);
   }
-  open_conns_->fetch_sub(1);
-  if (options_->open_connections != nullptr) {
-    options_->open_connections->Add(-1);
-  }
+  server_->open_conns_.fetch_sub(1);
+  Level(metrics_->open_connections, -1);
 }
 
 void EventLoop::CloseAll() {
   while (!conns_.empty()) CloseConn(conns_.begin()->second.get());
 }
 
-EventServer::EventServer(const EventServerOptions& options, EventHooks hooks)
-    : options_(options), hooks_(std::move(hooks)) {}
+EventServer::EventServer(const EventServerOptions& options,
+                         const EventServerMetrics& metrics,
+                         RequestHandler handler)
+    : options_(options),
+      metrics_(metrics),
+      handler_(std::move(handler)),
+      overloaded_(OverloadedResponse(options.retry_after_ms)) {
+  options_.num_workers = std::max(1, options_.num_workers);
+  options_.io_threads = std::max(1, options_.io_threads);
+  if (options_.max_connections == 0) {
+    // Every worker busy plus a full queue: the N+Q+1'th concurrent
+    // connection is refused with the retry hint.
+    options_.max_connections =
+        static_cast<size_t>(options_.num_workers) + options_.queue_depth;
+  }
+}
 
 EventServer::~EventServer() { Stop(); }
 
@@ -486,13 +495,10 @@ Status EventServer::Start() {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len);
   port_ = ntohs(addr.sin_port);
 
-  int io_threads = std::max(1, options_.io_threads);
-  for (int i = 0; i < io_threads; ++i) {
-    auto loop = std::make_unique<EventLoop>(&options_, &hooks_, &open_conns_,
-                                            &draining_);
+  for (int i = 0; i < options_.io_threads; ++i) {
+    auto loop = std::make_unique<EventLoop>(this);
     Status s = loop->Init(listen_fd_);
     if (!s.ok()) {
-      for (auto& started : loops_) started->Stop();
       loops_.clear();
       ::close(listen_fd_);
       listen_fd_ = -1;
@@ -501,18 +507,91 @@ Status EventServer::Start() {
     loops_.push_back(std::move(loop));
   }
   for (auto& loop : loops_) loop->Start();
-  started_ = true;
+  workers_.reserve(static_cast<size_t>(options_.num_workers));
+  for (int i = 0; i < options_.num_workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
+  started_.store(true);
   return Status::OK();
 }
 
+void EventServer::Admit(const ConnRef& conn, uint64_t seq,
+                        std::string payload) {
+  bool admitted = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!stopping_ && queue_.size() < options_.queue_depth) {
+      queue_.push_back(Request{conn, seq, std::move(payload)});
+      SetLevel(metrics_.queue_depth, queue_.size());
+      admitted = true;
+    }
+  }
+  if (admitted) {
+    work_cv_.notify_one();
+    return;
+  }
+  // Queue full: shed this request with the retry hint and drop the
+  // connection, exactly like a shed accept.
+  Bump(metrics_.rejected);
+  conn->Complete(seq, overloaded_, /*close_after=*/true);
+}
+
+void EventServer::WorkerLoop() {
+  for (;;) {
+    Request request;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      if (stopping_) return;  // Stop() drops whatever is still queued
+      request = std::move(queue_.front());
+      queue_.pop_front();
+      SetLevel(metrics_.queue_depth, queue_.size());
+    }
+    std::string response;
+    try {
+      response = handler_(request.payload);
+    } catch (const std::exception& e) {
+      Bump(metrics_.errors);
+      response = ErrorResponse("internal", e.what());
+    }
+    // Draining: each connection closes right after its next response.
+    request.conn->Complete(request.seq, std::move(response), draining_.load());
+  }
+}
+
 void EventServer::Stop() {
-  if (!started_ || stopped_) return;
-  stopped_ = true;
-  for (auto& loop : loops_) loop->Stop();
-  if (listen_fd_ >= 0) {
+  if (!started_.load()) return;
+  std::call_once(stop_once_, [this] {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stopping_ = true;
+    }
+    work_cv_.notify_all();
+    // I/O threads first: a worker's Complete() after this is dropped at
+    // the loop's post gate instead of racing a dying epoll set.
+    for (auto& loop : loops_) loop->Stop();
+    for (std::thread& worker : workers_) worker.join();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      queue_.clear();
+    }
+    SetLevel(metrics_.queue_depth, 0);
     ::close(listen_fd_);
     listen_fd_ = -1;
+  });
+}
+
+void EventServer::Drain(double timeout_ms) {
+  if (!started_.load()) return;
+  draining_.store(true);
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double, std::milli>(
+                            std::max(0.0, timeout_ms));
+  while (open_conns_.load() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
+  Stop();
 }
 
 }  // namespace server

@@ -3,7 +3,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -19,44 +21,21 @@
 namespace kb {
 namespace server {
 
-/// The shared event-driven server core (DESIGN.md §5f). A small fixed
-/// set of I/O threads — each one an epoll EventLoop — owns the listen
-/// socket (every loop registers it EPOLLEXCLUSIVE, so the kernel wakes
-/// exactly one loop per connection burst) and all accepted connection
-/// fds. Loops never execute request logic: they parse length-prefixed
-/// frames incrementally out of per-connection read buffers, hand each
-/// complete frame to the owner through `on_frame`, and flush completed
-/// responses from per-connection write queues with batched writev,
-/// falling back to EPOLLOUT when a peer stops draining. Connection
-/// count is therefore decoupled from thread count: ten thousand idle
-/// keep-alive clients cost ten thousand fds and nothing else.
-///
-/// The owner (KbServer, the replication Router) supplies the policy:
-/// what to do with a frame (typically: admission-check into a bounded
-/// worker queue), what an unframeable stream is told, and what a shed
-/// connection is told.
-struct EventHooks {
-  /// A complete frame arrived: per-connection sequence `seq`, raw
-  /// payload. Runs on the owning I/O thread and must not block; answer
-  /// by calling conn->Complete(seq, response) exactly once, from any
-  /// thread.
-  std::function<void(const ConnRef& conn, uint64_t seq, std::string payload)>
-      on_frame;
-  /// Response for a stream that cannot be re-framed (length prefix
-  /// over kMaxFrameBytes); flushed in order, then the connection
-  /// closes.
-  std::function<std::string(const std::string& message)> bad_frame_response;
-  /// Envelope written (best-effort, then close) when the connection
-  /// cap or draining sheds a fresh accept. Empty = close silently.
-  std::string shed_response;
-};
-
+/// Transport and admission settings of a front door. KbServer::Options
+/// and Router::Options derive from this, so the knobs are declared
+/// once.
 struct EventServerOptions {
-  int port = 0;       ///< 0 = ephemeral; see EventServer::port()
-  int io_threads = 2;
-  int backlog = 0;    ///< listen(2) backlog; <= 0 means SOMAXCONN
-  /// Accepts past this many open connections are shed with
-  /// shed_response instead of blocking accept. 0 = unlimited.
+  int port = 0;         ///< 0 = ephemeral; see EventServer::port()
+  int num_workers = 4;  ///< request-handling threads
+  /// Admitted requests waiting for a worker; a frame that arrives with
+  /// the queue full is shed.
+  size_t queue_depth = 16;
+  int io_threads = 2;  ///< epoll I/O threads
+  int backlog = 0;     ///< listen(2) backlog; <= 0 means SOMAXCONN
+  /// Accepts past this many open connections are shed instead of
+  /// blocking accept. 0 derives num_workers + queue_depth (every
+  /// worker busy plus a full queue); raise it explicitly (e.g. the
+  /// concurrency bench) to hold thousands of keep-alive connections.
   size_t max_connections = 0;
   /// Connections with no traffic and no request in flight for this
   /// long are closed (idle_closed metric). 0 = never.
@@ -66,19 +45,31 @@ struct EventServerOptions {
   /// responses drain below half — backpressure instead of unbounded
   /// buffering for a client that pipelines faster than workers drain.
   size_t max_pipeline = 128;
+  int retry_after_ms = 20;  ///< hint carried by every overload shed
+};
 
-  /// Optional instruments (registry-owned; may be null).
+/// Instruments the core updates (registry-owned; any may be null).
+struct EventServerMetrics {
   Gauge* open_connections = nullptr;
+  Gauge* queue_depth = nullptr;
+  Counter* rejected = nullptr;  ///< shed accepts + shed requests
+  Counter* errors = nullptr;    ///< bad frames + handler exceptions
   Counter* epoll_wakeups = nullptr;
   Counter* pipelined_frames = nullptr;
   Counter* idle_closed = nullptr;
-  Counter* sheds = nullptr;
 };
 
+/// One request payload in, one response payload out. Runs on a worker
+/// thread, concurrently with itself.
+using RequestHandler = std::function<std::string(const std::string& payload)>;
+
+class EventServer;
+
+/// One I/O thread of an EventServer: an epoll set over the shared
+/// listen socket and the connections this loop accepted.
 class EventLoop {
  public:
-  EventLoop(const EventServerOptions* options, const EventHooks* hooks,
-            std::atomic<size_t>* open_conns, std::atomic<bool>* draining);
+  explicit EventLoop(EventServer* server);
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -117,10 +108,9 @@ class EventLoop {
   void CloseConn(Conn* conn);
   void CloseAll();
 
+  EventServer* server_;
   const EventServerOptions* options_;
-  const EventHooks* hooks_;
-  std::atomic<size_t>* open_conns_;
-  std::atomic<bool>* draining_;
+  const EventServerMetrics* metrics_;
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  ///< eventfd; Post() and Stop() write it
@@ -142,40 +132,87 @@ class EventLoop {
   std::thread thread_;
 };
 
-/// N EventLoops + one listen socket. See file comment.
+/// The request core every front door runs on (DESIGN.md §5f). A small
+/// fixed set of I/O threads — each one an epoll EventLoop — owns the
+/// listen socket (every loop registers it EPOLLEXCLUSIVE, so the kernel
+/// wakes exactly one loop per connection burst) and all accepted
+/// connection fds. Loops never execute request logic: they parse
+/// length-prefixed frames incrementally out of per-connection read
+/// buffers and flush completed responses from per-connection write
+/// queues with batched writev, falling back to EPOLLOUT when a peer
+/// stops draining. Connection count is therefore decoupled from thread
+/// count: ten thousand idle keep-alive clients cost ten thousand fds
+/// and nothing else.
+///
+/// Admission is decided here and nowhere else. A complete frame joins
+/// a bounded queue that `num_workers` threads drain through the
+/// handler; with the queue full it is shed instead — answered with
+/// OverloadedResponse(retry_after_ms) and its connection closed after
+/// the in-order flush, so a pipelining client cannot keep a saturated
+/// server buffering its backlog. Accepts past the connection cap, or
+/// during a drain, are shed with the same envelope. An unframeable
+/// stream gets a "bad_frame" error, and a handler that throws gets an
+/// "internal" one; both count in `errors`.
 class EventServer {
  public:
-  EventServer(const EventServerOptions& options, EventHooks hooks);
+  EventServer(const EventServerOptions& options,
+              const EventServerMetrics& metrics, RequestHandler handler);
   ~EventServer();
 
   EventServer(const EventServer&) = delete;
   EventServer& operator=(const EventServer&) = delete;
 
-  /// Binds 127.0.0.1:port, listens, spawns the I/O threads.
+  /// Binds 127.0.0.1:port, listens, spawns the I/O and worker threads.
+  /// Call once.
   Status Start();
-  /// Closes the listen socket and every connection, joins the I/O
-  /// threads. Idempotent.
+  /// Joins the I/O threads (closing every connection), then the
+  /// workers, then drops whatever is still queued: a worker's late
+  /// Complete() lands on a stopped loop and is dropped. Idempotent; a
+  /// concurrent caller returns once the first one has finished.
   void Stop();
+  /// Graceful shutdown: fresh accepts are shed with the retry hint (a
+  /// router fails over), each established connection closes right
+  /// after its next response, and idle ones — which hold no worker and
+  /// are owed nothing — ride out `timeout_ms`; then Stop().
+  void Drain(double timeout_ms);
 
-  /// While draining, fresh accepts are shed with shed_response. The
-  /// owner decides when established connections close (typically by
-  /// completing their next response with close_after).
-  void SetDraining(bool draining) { draining_.store(draining); }
-
+  /// The bound port (valid after Start; resolves port 0).
   int port() const { return port_; }
-  size_t open_connections() const { return open_conns_.load(); }
 
  private:
+  friend class EventLoop;
+
+  /// A parsed frame waiting for a worker.
+  struct Request {
+    ConnRef conn;
+    uint64_t seq = 0;
+    std::string payload;
+  };
+
+  /// I/O-thread side of the handoff: queue the frame or shed it; never
+  /// runs request logic.
+  void Admit(const ConnRef& conn, uint64_t seq, std::string payload);
+  void WorkerLoop();
+
   EventServerOptions options_;
-  EventHooks hooks_;
+  const EventServerMetrics metrics_;
+  const RequestHandler handler_;
+  const std::string overloaded_;  ///< OverloadedResponse(retry_after_ms)
   std::atomic<size_t> open_conns_{0};
   std::atomic<bool> draining_{false};
 
   int listen_fd_ = -1;
   int port_ = 0;
-  bool started_ = false;
-  bool stopped_ = false;
+  std::atomic<bool> started_{false};
+  std::once_flag stop_once_;
+
+  std::mutex mu_;
+  std::condition_variable work_cv_;
+  std::deque<Request> queue_;  ///< guarded by mu_
+  bool stopping_ = false;      ///< guarded by mu_
+
   std::vector<std::unique_ptr<EventLoop>> loops_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace server

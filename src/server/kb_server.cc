@@ -1,7 +1,10 @@
 #include "server/kb_server.h"
 
+#include <algorithm>
 #include <chrono>
-#include <exception>
+#include <cstdint>
+#include <functional>
+#include <limits>
 
 #include "analytics/class_stats.h"
 #include "analytics/pagerank.h"
@@ -16,21 +19,13 @@ namespace server {
 
 namespace {
 
-std::string ErrorJson(const std::string& error, const std::string& message) {
-  Json response = Json::Object();
-  response.Set("status", Json::Str("error"));
-  response.Set("error", Json::Str(error));
-  response.Set("message", Json::Str(message));
-  return response.Dump();
-}
-
-std::string OverloadedJson(int retry_after_ms) {
-  Json response = Json::Object();
-  response.Set("status", Json::Str("overloaded"));
-  response.Set("error", Json::Str("overloaded"));
-  response.Set("retry_after_ms", Json::Number(retry_after_ms));
-  return response.Dump();
-}
+/// Fields where any negative value keeps a documented meaning
+/// (deadline_ms: none; max_rows, max_facts, top_k: the default;
+/// iterations: 0).
+constexpr double kAnyNegative = -std::numeric_limits<double>::max();
+/// Longest deadline_ms a query may carry (one year): a longer one is
+/// refused, so now + deadline always fits steady_clock's nanoseconds.
+constexpr double kMaxDeadlineMs = 365.0 * 24 * 3600 * 1000;
 
 /// Splices a serialized result body ("{...}") into an ok envelope with
 /// the cached flag, without re-parsing the body — this is the entire
@@ -51,42 +46,40 @@ std::string OkWithBody(const std::string& body, bool cached) {
 
 struct KbServer::Metrics {
   Counter& requests;
-  Counter& rejected;
   Counter& errors;
   Counter& queries;
   Counter& entity_cards;
   Counter& inserted_facts;
   Counter& analytics;
   Counter& deadline_exceeded;
-  Counter& epoll_wakeups;
-  Counter& pipelined_frames;
-  Counter& idle_closed;
-  Gauge& queue_depth;
-  Gauge& open_connections;
   Histogram& request_ms;
   Histogram& query_ms;
   Histogram& analytics_ms;
+  EventServerMetrics core;
 
   static Metrics* Get() {
     static Metrics* m = [] {
       MetricsRegistry& r = MetricsRegistry::Default();
+      EventServerMetrics core;
+      core.open_connections = &r.gauge("server.open_connections");
+      core.queue_depth = &r.gauge("server.queue_depth");
+      core.rejected = &r.counter("server.rejected");
+      core.errors = &r.counter("server.errors");
+      core.epoll_wakeups = &r.counter("server.epoll_wakeups");
+      core.pipelined_frames = &r.counter("server.pipelined_frames");
+      core.idle_closed = &r.counter("server.idle_closed");
       return new Metrics{
           r.counter("server.requests"),
-          r.counter("server.rejected"),
           r.counter("server.errors"),
           r.counter("server.queries"),
           r.counter("server.entity_cards"),
           r.counter("server.inserted_facts"),
           r.counter("server.analytics"),
           r.counter("server.deadline_exceeded"),
-          r.counter("server.epoll_wakeups"),
-          r.counter("server.pipelined_frames"),
-          r.counter("server.idle_closed"),
-          r.gauge("server.queue_depth"),
-          r.gauge("server.open_connections"),
           r.histogram("server.request_ms"),
           r.histogram("server.query_ms"),
           r.histogram("server.analytics_ms"),
+          core,
       };
     }();
     return m;
@@ -97,155 +90,21 @@ KbServer::KbServer(core::KnowledgeBase* kb, const Options& options)
     : kb_(kb),
       options_(options),
       result_cache_(options.cache_bytes),
-      metrics_(Metrics::Get()) {}
+      metrics_(Metrics::Get()),
+      server_(options, metrics_->core,
+              std::bind_front(&KbServer::HandleFrame, this)) {}
 
 KbServer::~KbServer() { Stop(); }
 
 Status KbServer::Start() {
-  EventServerOptions ev;
-  ev.port = options_.port;
-  ev.io_threads = options_.io_threads;
-  ev.backlog = options_.backlog;
-  // Default cap = every worker busy + a full queue: the N+Q+1'th
-  // concurrent connection is refused with the retry hint.
-  size_t workers =
-      static_cast<size_t>(options_.num_workers > 0 ? options_.num_workers : 1);
-  ev.max_connections = options_.max_connections > 0
-                           ? options_.max_connections
-                           : workers + options_.queue_depth;
-  ev.idle_timeout_ms = options_.idle_timeout_ms;
-  ev.max_pipeline = options_.max_pipeline;
-  ev.open_connections = &metrics_->open_connections;
-  ev.epoll_wakeups = &metrics_->epoll_wakeups;
-  ev.pipelined_frames = &metrics_->pipelined_frames;
-  ev.idle_closed = &metrics_->idle_closed;
-  ev.sheds = &metrics_->rejected;
-
-  EventHooks hooks;
-  hooks.on_frame = [this](const ConnRef& conn, uint64_t seq,
-                          std::string payload) {
-    OnFrame(conn, seq, std::move(payload));
-  };
-  hooks.bad_frame_response = [this](const std::string& message) {
-    metrics_->errors.Increment();
-    return ErrorJson("bad_frame", message);
-  };
-  hooks.shed_response = OverloadedJson(options_.retry_after_ms);
-
-  event_server_ = std::make_unique<EventServer>(ev, std::move(hooks));
-  Status s = event_server_->Start();
-  if (!s.ok()) {
-    event_server_.reset();
-    return s;
-  }
-  port_ = event_server_->port();
+  // Before the workers exist: health reads it from them.
   started_at_ = std::chrono::steady_clock::now();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    started_ = true;
-    stopping_ = false;
-    draining_ = false;
-  }
-  int workers_n = options_.num_workers > 0 ? options_.num_workers : 1;
-  workers_.reserve(static_cast<size_t>(workers_n));
-  for (int i = 0; i < workers_n; ++i) {
-    workers_.emplace_back([this] { EventWorkerLoop(); });
-  }
-  return Status::OK();
+  return server_.Start();
 }
 
-void KbServer::OnFrame(const ConnRef& conn, uint64_t seq,
-                       std::string payload) {
-  // I/O-thread side of the handoff: admission-check into the bounded
-  // request queue and return — never run request logic here.
-  bool admitted = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!stopping_ && reqs_.size() < options_.queue_depth) {
-      reqs_.push_back(PendingRequest{conn, seq, std::move(payload)});
-      metrics_->queue_depth.Set(static_cast<int64_t>(reqs_.size()));
-      admitted = true;
-    }
-  }
-  if (admitted) {
-    work_cv_.notify_one();
-    return;
-  }
-  // Queue full: shed this request with the retry hint and drop the
-  // connection, exactly like a shed accept — a pipelining client must
-  // not keep a saturated server buffering its backlog.
-  metrics_->rejected.Increment();
-  conn->Complete(seq, OverloadedJson(options_.retry_after_ms),
-                 /*close_after=*/true);
-}
+void KbServer::Stop() { server_.Stop(); }
 
-void KbServer::EventWorkerLoop() {
-  for (;;) {
-    PendingRequest work;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stopping_ || !reqs_.empty(); });
-      if (stopping_) return;  // Stop() drops whatever is still queued
-      work = std::move(reqs_.front());
-      reqs_.pop_front();
-      metrics_->queue_depth.Set(static_cast<int64_t>(reqs_.size()));
-    }
-    std::string response = HandleFrame(work.payload);
-    bool close_after;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // Draining: each connection closes right after its next flushed
-      // response; idle connections ride out the drain timeout.
-      close_after = draining_;
-    }
-    work.conn->Complete(work.seq, std::move(response), close_after);
-  }
-}
-
-void KbServer::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!started_ || stopping_) {
-      stopping_ = true;
-      return;
-    }
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  // Order matters: joining the I/O threads first means any late worker
-  // Complete() is dropped at the loop's post gate instead of racing a
-  // dying epoll set.
-  if (event_server_) event_server_->Stop();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
-  std::lock_guard<std::mutex> lock(mu_);
-  reqs_.clear();
-  metrics_->queue_depth.Set(0);
-}
-
-void KbServer::Drain(double timeout_ms) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!started_ || stopping_) return;
-    draining_ = true;
-  }
-  // From here new connections are shed with the retry hint (a router
-  // treats that as unhealthy and fails over), and each established
-  // connection closes right after its next flushed response. Idle
-  // connections are left alone until the timeout: they hold no worker
-  // and owe nobody a response.
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::duration<double, std::milli>(
-                      timeout_ms > 0 ? timeout_ms : 0);
-  event_server_->SetDraining(true);
-  while (event_server_->open_connections() > 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  Stop();
-}
+void KbServer::Drain(double timeout_ms) { server_.Drain(timeout_ms); }
 
 void KbServer::WithWriteLock(const std::function<void()>& fn) {
   std::unique_lock<std::shared_mutex> lock(kb_mu_);
@@ -264,14 +123,9 @@ std::string KbServer::HandleFrame(const std::string& payload) {
   if (!request.ok()) {
     metrics_->errors.Increment();
     // Framing is intact; only this request was garbage.
-    return ErrorJson("bad_request", request.status().message());
+    return ErrorResponse("bad_request", request.status().message());
   }
-  try {
-    return HandleRequest(*request);
-  } catch (const std::exception& e) {
-    metrics_->errors.Increment();
-    return ErrorJson("internal", e.what());
-  }
+  return HandleRequest(*request);
 }
 
 std::string KbServer::HandleRequest(const Json& request) {
@@ -283,31 +137,53 @@ std::string KbServer::HandleRequest(const Json& request) {
   if (op == "health") return HandleHealth();
   if (op == "metrics") return HandleMetrics();
   metrics_->errors.Increment();
-  return ErrorJson("unknown_endpoint", "no such op: " + op);
+  return ErrorResponse("unknown_endpoint", "no such op: " + op);
 }
 
 std::string KbServer::CheckMinEpoch(const Json& request) const {
-  if (!request["min_epoch"].is_number()) return std::string();
-  const uint64_t min_epoch =
-      static_cast<uint64_t>(request["min_epoch"].as_number());
+  double min_epoch = 0;
+  if (std::string bad =
+          ReadNumber(request, "min_epoch", 0, kMaxWireInteger, &min_epoch);
+      !bad.empty()) {
+    return bad;
+  }
+  const uint64_t required = static_cast<uint64_t>(min_epoch);
   const uint64_t applied = applied_epoch();
-  if (applied >= min_epoch) return std::string();
+  if (applied >= required) return std::string();
   // Read-your-writes: this replica has not yet applied the epoch the
   // client's own writes reached. The caller (router or retrying
   // client) redirects to the leader or a fresher replica.
-  return ErrorJson("stale_replica",
-                   "applied epoch " + std::to_string(applied) +
-                       " < required " + std::to_string(min_epoch));
+  return ErrorResponse("stale_replica",
+                       "applied epoch " + std::to_string(applied) +
+                           " < required " + std::to_string(required));
 }
 
 std::string KbServer::HandleQuery(const Json& request) {
   metrics_->queries.Increment();
   ScopedTimer timer(metrics_->query_ms);
   const std::string sparql = request.GetString("sparql");
-  if (sparql.empty()) return ErrorJson("bad_request", "missing sparql");
+  if (sparql.empty()) return ErrorResponse("bad_request", "missing sparql");
   if (std::string stale = CheckMinEpoch(request); !stale.empty()) {
     return stale;
   }
+  double deadline_ms = options_.default_deadline_ms;
+  if (std::string bad = ReadNumber(request, "deadline_ms", kAnyNegative,
+                                   kMaxDeadlineMs, &deadline_ms);
+      !bad.empty()) {
+    return bad;
+  }
+  if (request["deadline_ms"].is_number()) {
+    if (deadline_ms < 0) deadline_ms = 0;  // explicit "no deadline"
+    else if (deadline_ms == 0) deadline_ms = 1e-9;  // expire immediately
+  }
+  double requested_rows = -1;  // negative: the server default
+  if (std::string bad = ReadNumber(request, "max_rows", kAnyNegative,
+                                   kMaxWireInteger, &requested_rows);
+      !bad.empty()) {
+    return bad;
+  }
+  size_t max_rows = options_.default_max_rows;
+  if (requested_rows >= 0) max_rows = static_cast<size_t>(requested_rows);
 
   // The epoch is read *before* parse/execute: if a write lands in
   // between, the entry is cached under the older epoch and simply
@@ -320,23 +196,15 @@ std::string KbServer::HandleQuery(const Json& request) {
   // reader it has not excluded.
   std::shared_lock<std::shared_mutex> lock(kb_mu_);
   auto parsed = kb_->ParseQuery(sparql);
-  if (!parsed.ok()) return ErrorJson("bad_query", parsed.status().ToString());
+  if (!parsed.ok()) {
+    return ErrorResponse("bad_query", parsed.status().ToString());
+  }
 
   query::ExecutionOptions exec;
-  double deadline_ms = options_.default_deadline_ms;
-  if (request["deadline_ms"].is_number()) {
-    deadline_ms = request["deadline_ms"].as_number();
-    if (deadline_ms < 0) deadline_ms = 0;  // explicit "no deadline"
-    else if (deadline_ms == 0) deadline_ms = 1e-9;  // expire immediately
-  }
   if (deadline_ms > 0) {
     exec.deadline =
         std::chrono::steady_clock::now() +
         std::chrono::microseconds(static_cast<int64_t>(deadline_ms * 1000));
-  }
-  size_t max_rows = options_.default_max_rows;
-  if (request["max_rows"].is_number() && request["max_rows"].as_number() >= 0) {
-    max_rows = static_cast<size_t>(request["max_rows"].as_number());
   }
   exec.max_rows = max_rows;
 
@@ -365,9 +233,9 @@ std::string KbServer::HandleQuery(const Json& request) {
     // dropped, the client sees an error it can retry with a longer
     // budget — never silently truncated data.
     metrics_->deadline_exceeded.Increment();
-    return ErrorJson("deadline_exceeded",
-                     "query missed its deadline after " +
-                         std::to_string(stats.rows_streamed) + " rows");
+    return ErrorResponse("deadline_exceeded",
+                         "query missed its deadline after " +
+                             std::to_string(stats.rows_streamed) + " rows");
   }
 
   Json body = Json::Object();
@@ -422,25 +290,27 @@ std::string KbServer::HandleQuery(const Json& request) {
 std::string KbServer::HandleEntityCard(const Json& request) {
   metrics_->entity_cards.Increment();
   const std::string entity = request.GetString("entity");
-  if (entity.empty()) return ErrorJson("bad_request", "missing entity");
+  if (entity.empty()) return ErrorResponse("bad_request", "missing entity");
   if (std::string stale = CheckMinEpoch(request); !stale.empty()) {
     return stale;
   }
-  core::EntityCardOptions card_options;
-  if (request["max_facts"].is_number() &&
-      request["max_facts"].as_number() > 0) {
-    card_options.max_facts =
-        static_cast<size_t>(request["max_facts"].as_number());
+  double max_facts = 0;  // 0 or negative: the card's default
+  if (std::string bad = ReadNumber(request, "max_facts", kAnyNegative,
+                                   kMaxWireInteger, &max_facts);
+      !bad.empty()) {
+    return bad;
   }
+  core::EntityCardOptions card_options;
+  if (max_facts > 0) card_options.max_facts = static_cast<size_t>(max_facts);
   StatusOr<core::EntityCard> card = [&] {
     std::shared_lock<std::shared_mutex> lock(kb_mu_);
     return core::BuildEntityCard(*kb_, entity, card_options);
   }();
   if (!card.ok()) {
     if (card.status().IsNotFound()) {
-      return ErrorJson("not_found", card.status().message());
+      return ErrorResponse("not_found", card.status().message());
     }
-    return ErrorJson("internal", card.status().ToString());
+    return ErrorResponse("internal", card.status().ToString());
   }
   Json response = Json::Object();
   response.Set("status", Json::Str("ok"));
@@ -473,43 +343,45 @@ std::string KbServer::HandleEntityCard(const Json& request) {
 
 std::string KbServer::HandleInsertFacts(const Json& request) {
   if (options_.read_only) {
-    return ErrorJson("not_leader",
-                     "this replica is read-only; send writes to the leader");
+    return ErrorResponse(
+        "not_leader", "this replica is read-only; send writes to the leader");
   }
   const Json& facts = request["facts"];
   if (!facts.is_array()) {
-    return ErrorJson("bad_request", "facts must be an array");
+    return ErrorResponse("bad_request", "facts must be an array");
   }
   // Decode and validate outside the lock; invalid entries are counted
   // and dropped here so the replication log only ever sees facts that
-  // will actually be asserted.
+  // will actually be asserted. An out-of-range number fails the whole
+  // request before anything is logged or asserted.
   std::vector<WireFact> batch;
   batch.reserve(facts.items().size());
-  std::vector<core::FactMeta> metas;
-  metas.reserve(facts.items().size());
   size_t skipped = 0;
   for (const Json& fact : facts.items()) {
+    double year = 0, support = 1;
+    if (std::string bad = ReadNumber(fact, "year", INT32_MIN, INT32_MAX, &year);
+        !bad.empty()) {
+      return bad;
+    }
+    if (std::string bad =
+            ReadNumber(fact, "support", 0, UINT32_MAX, &support);
+        !bad.empty()) {
+      return bad;
+    }
     WireFact wire;
     wire.s = fact.GetString("s");
     wire.p = fact.GetString("p");
     wire.o = fact.GetString("o");
     wire.has_year = fact["year"].is_number();
-    if (wire.has_year) {
-      wire.year = static_cast<int32_t>(fact["year"].as_number());
-    }
+    wire.year = static_cast<int32_t>(year);
     if (!fact.is_object() || wire.s.empty() || wire.p.empty() ||
         (wire.o.empty() && !wire.has_year)) {
       ++skipped;
       continue;
     }
     wire.confidence = fact.GetNumber("confidence", 1.0);
-    wire.support = static_cast<uint32_t>(fact.GetNumber("support", 1));
-    core::FactMeta meta;
-    meta.confidence = wire.confidence;
-    meta.support = wire.support;
-    meta.extractor = static_cast<uint32_t>(fact.GetNumber("extractor", 0));
+    wire.support = static_cast<uint32_t>(support);
     batch.push_back(std::move(wire));
-    metas.push_back(meta);
   }
   size_t inserted = 0, merged = 0;
   {
@@ -521,18 +393,13 @@ std::string KbServer::HandleInsertFacts(const Json& request) {
       Status logged = options_.pre_insert_hook(batch);
       if (!logged.ok()) {
         metrics_->errors.Increment();
-        return ErrorJson("internal",
-                         "replication log append failed: " +
-                             logged.ToString());
+        return ErrorResponse("internal",
+                             "replication log append failed: " +
+                                 logged.ToString());
       }
     }
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const WireFact& wire = batch[i];
-      bool fresh = wire.has_year
-                       ? kb_->AssertYearFact(wire.s, wire.p, wire.year,
-                                             metas[i])
-                       : kb_->AssertFact(wire.s, wire.p, wire.o, metas[i]);
-      if (fresh) ++inserted;
+    for (const WireFact& wire : batch) {
+      if (AssertWireFact(wire, kb_)) ++inserted;
       else ++merged;
     }
   }
@@ -549,10 +416,8 @@ std::string KbServer::HandleInsertFacts(const Json& request) {
 ThreadPool* KbServer::AnalyticsPool() {
   std::lock_guard<std::mutex> lock(analytics_pool_mu_);
   if (analytics_pool_ == nullptr) {
-    int n = options_.analytics_threads > 0
-                ? options_.analytics_threads
-                : (options_.num_workers > 0 ? options_.num_workers : 1);
-    analytics_pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(n));
+    analytics_pool_ = std::make_unique<ThreadPool>(
+        static_cast<size_t>(std::max(1, options_.num_workers)));
   }
   return analytics_pool_.get();
 }
@@ -562,23 +427,33 @@ std::string KbServer::HandleAnalytics(const Json& request) {
   ScopedTimer timer(metrics_->analytics_ms);
   const std::string job = request.GetString("job");
   if (job != "pagerank" && job != "class_stats") {
-    return ErrorJson("bad_request", "unknown analytics job: " + job);
+    return ErrorResponse("bad_request", "unknown analytics job: " + job);
   }
   if (std::string stale = CheckMinEpoch(request); !stale.empty()) {
     return stale;
   }
 
-  size_t top_k = 10;
-  if (request["top_k"].is_number() && request["top_k"].as_number() > 0) {
-    top_k = static_cast<size_t>(request["top_k"].as_number());
+  double requested_k = 0, requested_iterations = 20;
+  if (std::string bad = ReadNumber(request, "top_k", kAnyNegative,
+                                   kMaxWireInteger, &requested_k);
+      !bad.empty()) {
+    return bad;
   }
+  if (std::string bad = ReadNumber(request, "iterations", kAnyNegative,
+                                   INT32_MAX, &requested_iterations);
+      !bad.empty()) {
+    return bad;
+  }
+  const size_t top_k =
+      requested_k > 0 ? static_cast<size_t>(requested_k) : size_t{10};
+  const int iterations =
+      requested_iterations > 0 ? static_cast<int>(requested_iterations) : 0;
   const bool insert = request.GetBool("insert", false);
   if (insert && options_.read_only) {
-    return ErrorJson("not_leader",
-                     "this replica is read-only; send writes to the leader");
+    return ErrorResponse(
+        "not_leader", "this replica is read-only; send writes to the leader");
   }
   double damping = request.GetNumber("damping", 0.85);
-  int iterations = static_cast<int>(request.GetNumber("iterations", 20));
   const bool rollup = request.GetBool("rollup", true);
 
   // Same caching discipline as queries: epoch read before the scan, a

@@ -1,15 +1,13 @@
 #ifndef KBFORGE_SERVER_KB_SERVER_H_
 #define KBFORGE_SERVER_KB_SERVER_H_
 
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/knowledge_base.h"
@@ -24,8 +22,9 @@
 namespace kb {
 namespace server {
 
-/// The KB serving layer: an event-driven TCP front door over a
-/// KnowledgeBase, speaking length-prefixed JSON (server/protocol.h).
+/// The KB serving layer: the request handler behind an EventServer
+/// front door over a KnowledgeBase, speaking length-prefixed JSON
+/// (server/protocol.h).
 ///
 /// Endpoints (request field "op"):
 ///   query        {"op":"query","sparql":...,"deadline_ms"?,"max_rows"?,
@@ -43,18 +42,19 @@ namespace server {
 ///   metrics      {"op":"metrics"} -> text snapshot of the PR-1 registry
 ///
 /// Production concerns the in-process library lacks:
-///   - An event-driven I/O core (server/event_loop.h): a few epoll
+///   - The shared request core (server/event_loop.h): a few epoll
 ///     threads own every connection fd, so connection count is
 ///     decoupled from thread count — 10k keep-alive clients cost 10k
 ///     fds, not 10k stacks. Clients may pipeline: frames on one
 ///     connection are answered strictly in order however the workers
-///     race.
-///   - A fixed worker pool pulls parsed requests from a bounded queue.
-///     When the queue is full, requests are *rejected* immediately
-///     with {"status":"overloaded","retry_after_ms":R} instead of
-///     queueing unboundedly (admission control: shed load, keep tail
-///     latency of admitted work flat); the connection cap sheds
-///     excess accepts the same way. `server.rejected` counts both.
+///     race. A fixed worker pool drains a bounded admission queue;
+///     when it is full, requests are *rejected* immediately with
+///     {"status":"overloaded","retry_after_ms":R} instead of queueing
+///     unboundedly (shed load, keep tail latency of admitted work
+///     flat); the connection cap sheds excess accepts the same way.
+///     `server.rejected` counts both.
+///   - Numeric request fields are range-checked before any cast; a
+///     value out of range is answered with "bad_request".
 ///   - Per-request deadlines, threaded into the query executor as
 ///     query::ExecutionOptions and enforced cooperatively inside the scan
 ///     loops. An expired query returns a partial-free
@@ -70,31 +70,14 @@ namespace server {
 /// directly while the server runs must take no such license.
 class KbServer {
  public:
-  struct Options {
-    int port = 0;               ///< 0 = ephemeral, see port()
-    int num_workers = 4;        ///< request-serving threads
-    size_t queue_depth = 16;    ///< pending requests before shedding
-    int io_threads = 2;         ///< epoll I/O threads
-    /// listen(2) backlog; <= 0 means SOMAXCONN.
-    int backlog = 0;
-    /// Open-connection cap: accepts past it are shed with the overload
-    /// hint instead of blocking accept. 0 derives num_workers +
-    /// queue_depth; raise it explicitly (e.g. the concurrency bench) to
-    /// hold thousands of keep-alive connections.
-    size_t max_connections = 0;
-    /// Connections idle (no traffic, nothing in flight) this long are
-    /// closed. 0 = never.
-    double idle_timeout_ms = 0;
-    /// Parsed-but-unanswered frames allowed per connection before the
-    /// loop stops reading it (pipelining backpressure).
-    size_t max_pipeline = 128;
+  /// Transport and admission settings (port, workers, queue, I/O
+  /// threads, caps, retry hint) come from EventServerOptions.
+  struct Options : EventServerOptions {
     size_t cache_bytes = 8u << 20;  ///< result cache; 0 disables
     /// Deadline applied when a query request carries none; 0 = none.
     double default_deadline_ms = 0;
     /// Row cap applied when a request carries none; 0 = unlimited.
     size_t default_max_rows = 0;
-    /// Hint returned with overload rejections.
-    int retry_after_ms = 20;
     /// Follower mode: insert_facts is rejected with "not_leader" (the
     /// router retries against the leader); health reports
     /// role=follower. Replicated writes bypass the endpoint via
@@ -112,9 +95,6 @@ class KbServer {
     /// first, KB second, so a published epoch E always means "every
     /// write <= E is in the replication log".
     std::function<Status(const std::vector<WireFact>&)> pre_insert_hook;
-    /// Threads in the lazily created analytics pool (PageRank shards,
-    /// class-stats shards). 0 derives num_workers.
-    int analytics_threads = 0;
   };
 
   /// The server serves `kb` (borrowed; must outlive the server).
@@ -137,7 +117,7 @@ class KbServer {
   void Drain(double timeout_ms);
 
   /// The bound port (valid after Start; resolves port 0).
-  int port() const { return port_; }
+  int port() const { return server_.port(); }
 
   const core::KnowledgeBase* kb() const { return kb_; }
 
@@ -152,27 +132,20 @@ class KbServer {
  private:
   struct Metrics;
 
-  /// One parsed frame waiting for (or held by) a worker.
-  struct PendingRequest {
-    ConnRef conn;
-    uint64_t seq = 0;
-    std::string payload;
-  };
-
-  void OnFrame(const ConnRef& conn, uint64_t seq, std::string payload);
-  void EventWorkerLoop();
-  /// One request frame -> one response frame.
+  /// The RequestHandler: one request frame -> one response frame.
   std::string HandleFrame(const std::string& payload);
 
   std::string HandleRequest(const Json& request);
-  /// Non-empty = the "stale_replica" error response for a request
-  /// whose min_epoch this server has not applied yet.
+  /// Non-empty = the response to send instead: "stale_replica" when
+  /// this server has not applied the request's min_epoch yet,
+  /// "bad_request" when min_epoch is out of range.
   std::string CheckMinEpoch(const Json& request) const;
   std::string HandleQuery(const Json& request);
   std::string HandleEntityCard(const Json& request);
   std::string HandleInsertFacts(const Json& request);
   std::string HandleAnalytics(const Json& request);
-  /// The lazily created shared pool analytics jobs shard across.
+  /// The lazily created shared pool analytics jobs shard across, one
+  /// thread per request worker.
   ThreadPool* AnalyticsPool();
   std::string HandleHealth() const;
   std::string HandleMetrics() const;
@@ -182,17 +155,7 @@ class KbServer {
   ResultCache result_cache_;
   Metrics* metrics_;  ///< registry-owned instruments, never freed
 
-  std::unique_ptr<EventServer> event_server_;
-
-  int port_ = 0;
   std::chrono::steady_clock::time_point started_at_{};
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::deque<PendingRequest> reqs_;  ///< admitted, not yet picked up
-  bool stopping_ = false;
-  bool draining_ = false;  ///< shed new work, finish in-flight
-  bool started_ = false;
 
   /// Reads (query parse/execute/render, entity cards, analytics
   /// scans) hold this shared for their full KB access; the insert
@@ -206,7 +169,8 @@ class KbServer {
   std::mutex analytics_pool_mu_;
   std::unique_ptr<ThreadPool> analytics_pool_;
 
-  std::vector<std::thread> workers_;
+  /// Declared last: its workers run HandleFrame over everything above.
+  EventServer server_;
 };
 
 }  // namespace server

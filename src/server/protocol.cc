@@ -3,6 +3,8 @@
 #include <errno.h>
 #include <string.h>
 
+#include <cstdio>
+
 #include "util/io_util.h"
 
 namespace kb {
@@ -65,6 +67,38 @@ Status WriteFrame(int fd, const std::string& payload) {
     return Status::IOError("write payload: " + Errno());
   }
   return Status::OK();
+}
+
+std::string ErrorResponse(const std::string& error,
+                          const std::string& message) {
+  Json response = Json::Object();
+  response.Set("status", Json::Str("error"));
+  response.Set("error", Json::Str(error));
+  response.Set("message", Json::Str(message));
+  return response.Dump();
+}
+
+std::string OverloadedResponse(int retry_after_ms) {
+  Json response = Json::Object();
+  response.Set("status", Json::Str("overloaded"));
+  response.Set("error", Json::Str("overloaded"));
+  response.Set("retry_after_ms", Json::Number(retry_after_ms));
+  return response.Dump();
+}
+
+std::string ReadNumber(const Json& request, const std::string& key, double lo,
+                       double hi, double* value) {
+  const Json& field = request[key];
+  if (!field.is_number()) return std::string();
+  const double v = field.as_number();
+  if (v >= lo && v <= hi) {
+    *value = v;
+    return std::string();
+  }
+  char message[160];
+  std::snprintf(message, sizeof(message), "%s %g is outside [%g, %g]",
+                key.c_str(), v, lo, hi);
+  return ErrorResponse("bad_request", message);
 }
 
 }  // namespace server

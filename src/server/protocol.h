@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "server/json.h"
 #include "util/status.h"
 
 namespace kb {
@@ -27,6 +28,27 @@ Status ReadFrame(int fd, std::string* payload);
 /// Writes one frame. IOError on any socket failure (incl. payloads
 /// over kMaxFrameBytes, which the peer would refuse anyway).
 Status WriteFrame(int fd, const std::string& payload);
+
+/// {"status":"error","error":<error>,"message":<message>}: every
+/// request-level failure (bad_request, bad_frame, internal, ...).
+std::string ErrorResponse(const std::string& error, const std::string& message);
+
+/// {"status":"overloaded","error":"overloaded","retry_after_ms":R}:
+/// what a shed request or a shed accept is told before its connection
+/// closes.
+std::string OverloadedResponse(int retry_after_ms);
+
+/// Largest integer a JSON number (an IEEE double) carries exactly; the
+/// upper bound for counts and epochs read off the wire.
+inline constexpr double kMaxWireInteger = 9007199254740992.0;  // 2^53
+
+/// Range-checked read of the optional number `key` of `request`, so no
+/// handler casts a network double it has not bounded. Absent (or not a
+/// number): `*value` is left as it is. In [lo, hi]: stored in `*value`.
+/// Otherwise nothing is stored and the bad_request response to send is
+/// returned; the result is empty whenever the read succeeded.
+std::string ReadNumber(const Json& request, const std::string& key, double lo,
+                       double hi, double* value);
 
 }  // namespace server
 }  // namespace kb

@@ -52,14 +52,8 @@
 // finish in-flight work, up to --drain-ms); a second signal forces an
 // immediate stop.
 
-#include <signal.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -70,39 +64,18 @@
 #include "core/kb_snapshot.h"
 #include "replication/repl_log.h"
 #include "replication/wal_shipper.h"
+#include "server/cli.h"
 #include "server/kb_server.h"
-
-namespace {
-
-int g_signal_pipe[2] = {-1, -1};
-
-void OnSignal(int) {
-  char byte = 0;
-  [[maybe_unused]] ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
-}
-
-bool FlagValue(const char* arg, const char* name, long* out) {
-  size_t len = ::strlen(name);
-  if (::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = ::strtol(arg + len + 1, nullptr, 10);
-  return true;
-}
-
-bool FlagString(const char* arg, const char* name, std::string* out) {
-  size_t len = ::strlen(name);
-  if (::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace kb;
+  using server::FlagString;
+  using server::FlagValue;
 
-  // Workers must exceed a fronting router's workers + 1: the router
-  // parks one cached data connection per worker plus one persistent
-  // health connection on every backend (DESIGN.md §5d).
+  // The connection cap (workers + queue unless --max-connections is
+  // set) must exceed a fronting router's workers + 1: the router parks
+  // one cached data connection per worker plus one persistent health
+  // connection on every backend (DESIGN.md §5d).
   long port = 7471, workers = 8, queue = 16;
   long io_threads = 2, backlog = 0, max_connections = 0;
   long idle_timeout_ms = 0, max_pipeline = 128;
@@ -156,14 +129,10 @@ int main(int argc, char** argv) {
 
   // Signals are trapped before the (slow) harvest so an early SIGTERM
   // still lands in the pipe instead of killing us mid-build.
-  if (::pipe(g_signal_pipe) != 0) {
+  if (!server::TrapStopSignals()) {
     ::fprintf(stderr, "pipe failed\n");
     return 1;
   }
-  struct sigaction action{};
-  action.sa_handler = OnSignal;
-  ::sigaction(SIGINT, &action, nullptr);
-  ::sigaction(SIGTERM, &action, nullptr);
 
   core::HarvestResult result;
   std::unique_ptr<core::KbVolume> volume;
@@ -353,9 +322,7 @@ int main(int argc, char** argv) {
   }
   ::fflush(stdout);
 
-  char byte;
-  while (::read(g_signal_pipe[0], &byte, 1) < 0 && errno == EINTR) {
-  }
+  server::WaitForStopSignal();
   ::printf("draining (up to %ld ms; signal again to force stop)\n",
            drain_ms);
   ::fflush(stdout);
@@ -363,9 +330,7 @@ int main(int argc, char** argv) {
   // is idempotent and thread-safe, so the racing Drain just finishes
   // early.
   std::thread force([&server] {
-    char again;
-    while (::read(g_signal_pipe[0], &again, 1) < 0 && errno == EINTR) {
-    }
+    server::WaitForStopSignal();
     server.Stop();
   });
   server.Drain(static_cast<double>(drain_ms));
@@ -381,7 +346,7 @@ int main(int argc, char** argv) {
     }
   }
   // Unblock the force-stop watcher and reap it.
-  OnSignal(0);
+  server::RaiseStopSignal();
   force.join();
   ::printf("stopped\n");
   return 0;

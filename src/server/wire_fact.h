@@ -5,6 +5,10 @@
 #include <string>
 
 namespace kb {
+namespace core {
+class KnowledgeBase;
+}  // namespace core
+
 namespace server {
 
 /// A fact as it crosses the wire protocol. Exactly one of `o` /
@@ -18,6 +22,13 @@ struct WireFact {
   double confidence = 1.0;
   uint32_t support = 1;
 };
+
+/// Asserts `fact` into `kb` with the metadata the wire carries
+/// (confidence and support, nothing else). The leader's insert endpoint
+/// and a follower's replay both call this, so both store the same
+/// FactMeta for the same fact. Returns true for a new fact, false when
+/// it merged into an existing one.
+bool AssertWireFact(const WireFact& fact, core::KnowledgeBase* kb);
 
 }  // namespace server
 }  // namespace kb

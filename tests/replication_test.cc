@@ -1,8 +1,10 @@
 // Replicated-tier tests: repl protocol codecs, the consistent-hash
-// ring, WAL shipping + follower catch-up, and the chaos suite —
-// follower crash mid-replay with WAL-prefix recovery, torn shipped
-// frames through a faulty TCP proxy, router failover with zero
-// dropped in-flight queries, and read-your-writes under replica lag.
+// ring, WAL shipping + follower catch-up (with leader/follower fact
+// metadata agreement), the router on the shared request core, and the
+// chaos suite — follower crash mid-replay with WAL-prefix recovery,
+// torn shipped frames through a faulty TCP proxy, router failover with
+// zero dropped in-flight queries, and read-your-writes under replica
+// lag.
 // Meant to also run under ASan (the `replication-chaos` CI job).
 
 #include <gtest/gtest.h>
@@ -12,13 +14,16 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -36,8 +41,10 @@
 #include "replication/wal_shipper.h"
 #include "server/kb_client.h"
 #include "server/kb_server.h"
+#include "server/protocol.h"
 #include "storage/fault_injection_env.h"
 #include "storage/wal.h"
+#include "util/metrics_registry.h"
 
 namespace kb {
 namespace replication {
@@ -449,6 +456,53 @@ TEST(ReplicationTest, FollowerRestartResumesFromPersistedPositions) {
   EXPECT_EQ(CountRows(&client, WorksForQuery("Globex")), 70u);
 }
 
+TEST(ReplicationTest, FollowerStoresTheLeadersFactMetadata) {
+  Leader leader(TempDir("meta_leader"));
+  Follower follower(leader.shipper->port(), TempDir("meta_follower"));
+
+  // "extractor" is no insert field: neither WireFact nor the log's
+  // fact record carries it, so a leader that stored it would disagree
+  // with every follower.
+  server::Json fact = server::Json::Object();
+  fact.Set("s", server::Json::Str("Meta_Probe"));
+  fact.Set("p", server::Json::Str("worksFor"));
+  fact.Set("o", server::Json::Str("Globex"));
+  fact.Set("confidence", server::Json::Number(0.7));
+  fact.Set("support", server::Json::Number(3));
+  fact.Set("extractor", server::Json::Number(7));
+  server::Json facts = server::Json::Array();
+  facts.Append(std::move(fact));
+  server::Json request = server::Json::Object();
+  request.Set("op", server::Json::Str("insert_facts"));
+  request.Set("facts", std::move(facts));
+  KbClient client;
+  ASSERT_TRUE(client.Connect(leader.server->port()).ok());
+  auto inserted = client.Call(request);
+  ASSERT_TRUE(inserted.ok()) << inserted.status();
+  const uint64_t epoch = leader.kb.epoch();
+  ASSERT_TRUE(WaitFor(
+      [&] { return follower.replica->applied_epoch() >= epoch; }, 5000));
+
+  auto meta_of = [](KbServer* server, core::KnowledgeBase* kb) {
+    core::FactMeta meta;
+    meta.extractor = 99;  // neither side's value: a miss shows
+    server->WithWriteLock([&] {
+      const rdf::Triple fact(kb->EntityTerm("Meta_Probe"),
+                             kb->PropertyTerm("worksFor"),
+                             kb->EntityTerm("Globex"));
+      if (const core::FactMeta* found = kb->MetaOf(fact)) meta = *found;
+    });
+    return meta;
+  };
+  const core::FactMeta on_leader = meta_of(leader.server.get(), &leader.kb);
+  const core::FactMeta on_follower =
+      meta_of(follower.server.get(), &follower.kb);
+  EXPECT_EQ(on_leader.extractor, on_follower.extractor);
+  EXPECT_EQ(on_leader.confidence, on_follower.confidence);
+  EXPECT_EQ(on_leader.support, on_follower.support);
+  EXPECT_EQ(on_follower.support, 3u);
+}
+
 // --------------------------------------------------- chaos: crashes
 
 TEST(ReplicationChaosTest, FollowerCrashMidReplayRecoversAndCatchesUp) {
@@ -615,6 +669,103 @@ TEST(ReplicationChaosTest, TornShippedFramesForceCleanResync) {
   KbClient client;
   ASSERT_TRUE(client.Connect(follower.server->port()).ok());
   EXPECT_EQ(CountRows(&client, WorksForQuery("Globex")), 150u);
+}
+
+// ------------------------------------------- router on the request core
+
+/// A raw client socket with a 10 s receive timeout, so a response or a
+/// close that never comes fails the test instead of hanging it.
+int RawConnect(int port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  return fd;
+}
+
+uint64_t CounterValue(const std::string& name) {
+  return MetricsRegistry::Default().Snapshot().counter(name);
+}
+
+TEST(RouterCoreTest, ShedsPastCapacityAndRefusesOversizedFrames) {
+  Leader leader(TempDir("core_leader"));
+  Router::Options router_options;
+  router_options.leader_port = leader.server->port();
+  router_options.num_workers = 1;
+  router_options.queue_depth = 1;
+  router_options.retry_after_ms = 11;
+  router_options.backend_timeout_ms = 10000;  // outlasts the stall
+  Router router(router_options);
+  ASSERT_TRUE(router.Start().ok());
+  const uint64_t queries_before = CounterValue("server.queries");
+  const uint64_t rejected_before = CounterValue("router.rejected");
+
+  // Stall the leader by holding its exclusive KB lock: the router's
+  // only worker then parks on the first query it forwards there.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<bool> held{false};
+  std::thread staller([&] {
+    leader.server->WithWriteLock([&] {
+      held.store(true);
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return release; });
+    });
+  });
+  // EXPECT (never ASSERT) until the staller is joined.
+  EXPECT_TRUE(WaitFor([&] { return held.load(); }, 5000));
+  server::Json query = server::Json::Object();
+  query.Set("op", server::Json::Str("query"));
+  query.Set("sparql", server::Json::Str(WorksForQuery("Acme_Corp")));
+  const std::string payload = query.Dump();
+  int fd = RawConnect(router.port());
+  EXPECT_TRUE(server::WriteFrame(fd, payload).ok());
+  EXPECT_TRUE(WaitFor(
+      [&] { return CounterValue("server.queries") > queries_before; }, 5000));
+  // Frame 2 takes the only queue slot; frame 3 is past capacity.
+  EXPECT_TRUE(server::WriteFrame(fd, payload).ok());
+  EXPECT_TRUE(server::WriteFrame(fd, payload).ok());
+  EXPECT_TRUE(WaitFor(
+      [&] { return CounterValue("router.rejected") == rejected_before + 1; },
+      5000));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  staller.join();
+
+  std::string response;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(server::ReadFrame(fd, &response).ok());
+    EXPECT_NE(response.find("\"row_count\":1"), std::string::npos)
+        << response;
+  }
+  ASSERT_TRUE(server::ReadFrame(fd, &response).ok());
+  EXPECT_NE(response.find("\"status\":\"overloaded\""), std::string::npos);
+  EXPECT_NE(response.find("\"retry_after_ms\":11"), std::string::npos);
+  Status eof = server::ReadFrame(fd, &response);
+  EXPECT_TRUE(eof.IsAborted()) << eof;  // shed connections close
+  ::close(fd);
+
+  // A length prefix over the frame limit cannot be re-framed: the core
+  // answers bad_frame and closes, counted as a router error.
+  const uint64_t errors_before = CounterValue("router.errors");
+  fd = RawConnect(router.port());
+  const unsigned char header[4] = {0xff, 0xff, 0xff, 0xff};
+  ASSERT_EQ(::send(fd, header, sizeof(header), 0), 4);
+  ASSERT_TRUE(server::ReadFrame(fd, &response).ok());
+  EXPECT_NE(response.find("\"error\":\"bad_frame\""), std::string::npos);
+  EXPECT_EQ(CounterValue("router.errors"), errors_before + 1);
+  ::close(fd);
+  router.Stop();
 }
 
 // ----------------------------------------------- chaos: router failover

@@ -1,28 +1,38 @@
 // Serving-layer tests: protocol framing, endpoint semantics, the
-// result cache's epoch invalidation, admission control, deadlines, and
-// a malformed-input fuzz pass. The concurrency tests drive one server
-// from many client threads and are meant to run under TSan/ASan (the
-// `serving` CI job), where the sanitizer is the oracle.
+// result cache's epoch invalidation, admission control, deadlines,
+// range checks on numeric request fields, the request core
+// (EventServer) under a gated handler, and a malformed-input fuzz
+// pass. The concurrency tests drive one server from many client
+// threads and are meant to run under TSan/ASan (the `serving` CI job),
+// where the sanitizer is the oracle.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <ostream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/kb_snapshot.h"
 #include "core/knowledge_base.h"
+#include "server/event_loop.h"
 #include "server/json.h"
 #include "server/kb_client.h"
 #include "server/kb_server.h"
@@ -262,6 +272,140 @@ TEST(KbServerTest, MaxRowsTruncatesWithoutPoisoningCache) {
   EXPECT_EQ(full->rows.size(), 2u);
 }
 
+// ------------------------------------------ out-of-range number fields
+
+/// A request whose one numeric field is out of range.
+struct RangeCase {
+  std::string field;
+  Json request;
+};
+
+std::vector<RangeCase> RangeCases() {
+  auto query = [](const char* field, double value) {
+    Json request = Json::Object();
+    request.Set("op", Json::Str("query"));
+    request.Set("sparql", Json::Str(WorksForQuery("Acme_Corp")));
+    request.Set(field, Json::Number(value));
+    return RangeCase{field, request};
+  };
+  auto pagerank = [](const char* field, double value) {
+    Json request = Json::Object();
+    request.Set("op", Json::Str("analytics"));
+    request.Set("job", Json::Str("pagerank"));
+    request.Set(field, Json::Number(value));
+    return RangeCase{field, request};
+  };
+  auto insert = [](const char* field, Json fact) {
+    Json facts = Json::Array();
+    facts.Append(std::move(fact));
+    Json request = Json::Object();
+    request.Set("op", Json::Str("insert_facts"));
+    request.Set("facts", std::move(facts));
+    return RangeCase{field, request};
+  };
+  Json card = Json::Object();
+  card.Set("op", Json::Str("entity_card"));
+  card.Set("entity", Json::Str("Acme_Corp"));
+  card.Set("max_facts", Json::Number(1e300));
+  Json year_fact = Json::Object();
+  year_fact.Set("s", Json::Str("Zed_Null"));
+  year_fact.Set("p", Json::Str("foundedIn"));
+  year_fact.Set("year", Json::Number(1e12));
+  year_fact.Set("support", Json::Number(-1));
+  Json support_fact = Json::Object();
+  support_fact.Set("s", Json::Str("Zed_Null"));
+  support_fact.Set("p", Json::Str("worksFor"));
+  support_fact.Set("o", Json::Str("Globex"));
+  support_fact.Set("support", Json::Number(-1));
+  return {
+      query("min_epoch", 1e300),
+      query("deadline_ms", 1e300),
+      query("max_rows", 1e300),
+      RangeCase{"max_facts", card},
+      pagerank("top_k", 1e300),
+      pagerank("iterations", 1e300),
+      insert("year", year_fact),
+      insert("support", support_fact),
+  };
+}
+
+void PrintTo(const RangeCase& range_case, std::ostream* os) {
+  *os << range_case.request.Dump();
+}
+
+class KbServerRangeTest : public ::testing::TestWithParam<RangeCase> {};
+
+TEST_P(KbServerRangeTest, OutOfRangeNumberIsABadRequest) {
+  TestServer ts;
+  KbClient client = ts.Connect();
+  const uint64_t epoch = ts.kb.epoch();
+  auto response = client.Call(GetParam().request);
+  ASSERT_FALSE(response.ok());
+  EXPECT_TRUE(response.status().IsInvalidArgument()) << response.status();
+  const std::string expected = "bad_request: " + GetParam().field;
+  EXPECT_NE(response.status().message().find(expected), std::string::npos)
+      << response.status();
+  EXPECT_EQ(ts.kb.epoch(), epoch) << "a rejected request changed the KB";
+  EXPECT_TRUE(client.Health().ok());  // the connection survives
+}
+
+std::string RangeCaseName(const ::testing::TestParamInfo<RangeCase>& info) {
+  return info.param.field;
+}
+
+INSTANTIATE_TEST_SUITE_P(Fields, KbServerRangeTest,
+                         ::testing::ValuesIn(RangeCases()), RangeCaseName);
+
+TEST(KbServerTest, NegativeNumbersKeepTheirMeaning) {
+  KbServer::Options options;
+  options.default_max_rows = 1;
+  TestServer ts(options);
+  KbClient client = ts.Connect();
+  Json request = Json::Object();
+  request.Set("op", Json::Str("query"));
+  request.Set("sparql", Json::Str(WorksForQuery("Acme_Corp")));
+  request.Set("no_cache", Json::Bool(true));
+  // A negative max_rows asks for the server default (1 here).
+  request.Set("max_rows", Json::Number(-1));
+  auto capped = client.Call(request);
+  ASSERT_TRUE(capped.ok()) << capped.status();
+  EXPECT_EQ(capped->GetNumber("row_count"), 1);
+  // A negative deadline_ms means none, however large its magnitude.
+  request.Set("max_rows", Json::Number(0));  // 0: unlimited
+  request.Set("deadline_ms", Json::Number(-1e300));
+  auto full = client.Call(request);
+  ASSERT_TRUE(full.ok()) << full.status();
+  EXPECT_EQ(full->GetNumber("row_count"), 2);
+
+  // A negative max_facts asks for the card's default.
+  auto card = client.EntityCard("Acme_Corp");
+  ASSERT_TRUE(card.ok()) << card.status();
+  Json card_request = Json::Object();
+  card_request.Set("op", Json::Str("entity_card"));
+  card_request.Set("entity", Json::Str("Acme_Corp"));
+  card_request.Set("max_facts", Json::Number(-1e300));
+  auto negative_card = client.Call(card_request);
+  ASSERT_TRUE(negative_card.ok()) << negative_card.status();
+  EXPECT_EQ((*negative_card)["facts"].items().size(),
+            (*card)["facts"].items().size());
+
+  // A negative top_k asks for the default top list; a negative
+  // iterations runs none.
+  auto pagerank = client.Analytics("pagerank", 0, false, /*no_cache=*/true);
+  ASSERT_TRUE(pagerank.ok()) << pagerank.status();
+  Json pagerank_request = Json::Object();
+  pagerank_request.Set("op", Json::Str("analytics"));
+  pagerank_request.Set("job", Json::Str("pagerank"));
+  pagerank_request.Set("no_cache", Json::Bool(true));
+  pagerank_request.Set("top_k", Json::Number(-1e300));
+  pagerank_request.Set("iterations", Json::Number(-1e300));
+  auto negative_pagerank = client.Call(pagerank_request);
+  ASSERT_TRUE(negative_pagerank.ok()) << negative_pagerank.status();
+  EXPECT_EQ((*negative_pagerank)["top"].items().size(),
+            (*pagerank)["top"].items().size());
+  EXPECT_EQ(negative_pagerank->GetNumber("iterations"), 0);
+}
+
 // ---------------------------------------------------- admission control
 
 TEST(KbServerTest, QueueFullConnectionsAreShedWithRetryHint) {
@@ -271,17 +415,17 @@ TEST(KbServerTest, QueueFullConnectionsAreShedWithRetryHint) {
   options.retry_after_ms = 7;
   TestServer ts(options);
 
-  // Occupy the single worker: one full round-trip guarantees the
-  // worker has dequeued this connection and is parked reading it.
+  // One worker plus a queue of one derives a connection cap of two.
+  // A full round trip proves the first connection is admitted.
   KbClient busy = ts.Connect();
   ASSERT_TRUE(busy.Health().ok());
-  // Fill the queue with an admitted-but-unserved connection.
+  // The second admitted connection fills the cap.
   KbClient queued;
   ASSERT_TRUE(queued.Connect(ts.server.port()).ok());
-  // Give the acceptor a moment to enqueue it.
+  // Give an I/O thread a moment to accept it.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  // Now the queue is full: further connections must be rejected
+  // Now the cap is reached: further connections must be rejected
   // promptly with the overload envelope, not left hanging.
   uint64_t rejected_before =
       MetricsRegistry::Default().Snapshot().counter("server.rejected");
@@ -294,7 +438,7 @@ TEST(KbServerTest, QueueFullConnectionsAreShedWithRetryHint) {
   EXPECT_GT(MetricsRegistry::Default().Snapshot().counter("server.rejected"),
             rejected_before);
 
-  // The admitted clients still work once the worker frees up.
+  // The admitted clients still work.
   EXPECT_TRUE(busy.Health().ok());
 }
 
@@ -437,8 +581,8 @@ TEST(KbServerConcurrencyTest, StopWhileClientsAreConnectedIsClean) {
     ASSERT_TRUE(client.Connect(ts->server.port()).ok());
     ASSERT_TRUE(client.Health().ok());
   }
-  // Destroys the server with workers parked mid-read on live
-  // connections; Stop() must unblock and join them all.
+  // Destroys the server while clients hold live connections; Stop()
+  // must close them all and join every thread.
   ts.reset();
   for (auto& client : clients) {
     EXPECT_FALSE(client.Health().ok());  // connection was shut down
@@ -556,9 +700,9 @@ TEST(KbServerDrainTest, DrainTimeoutBoundsIdleConnections) {
   // waits for it only up to the timeout, then force-stops.
   KbClient idle = ts->Connect();
   ASSERT_TRUE(idle.Health().ok());
-  // Let the worker re-enter its blocking read: if drain flips the flag
-  // while the worker is still between response and read, it closes the
-  // connection at the loop-top check and drain returns instantly.
+  // The Health() response was flushed before it returned, so nothing
+  // is in flight here and drain has no response to close the
+  // connection after; the pause lets the server go quiet first.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   auto start = std::chrono::steady_clock::now();
   ts->server.Drain(/*timeout_ms=*/100);
@@ -716,6 +860,167 @@ TEST(KbServerEventCoreTest, IdleConnectionsAreReapedAndKeepAliveRecovers) {
   ASSERT_TRUE(client.Health().ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
   EXPECT_TRUE(client.Health().ok());
+}
+
+// ------------------------------------------------------ the request core
+
+bool WaitFor(const std::function<bool()>& pred, int timeout_ms = 5000) {
+  auto deadline = std::chrono::steady_clock::now() +
+                  std::chrono::milliseconds(timeout_ms);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return pred();
+}
+
+/// RawConnect with a 10 s receive timeout, so a response or a close
+/// that never comes fails the test instead of hanging it.
+int TimedConnect(int port) {
+  int fd = RawConnect(port);
+  timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  return fd;
+}
+
+/// An EventServer whose handler parks every request at a gate until
+/// the test opens it, so admission decisions are deterministic. The
+/// handler echoes its payload, or throws for the payload "throw".
+struct GatedCore {
+  explicit GatedCore(const EventServerOptions& options)
+      : server(options, Instruments(),
+               std::bind_front(&GatedCore::Handle, this)) {
+    Status status = server.Start();
+    EXPECT_TRUE(status.ok()) << status;
+  }
+  ~GatedCore() {
+    Open();  // never strand a worker at the gate
+    server.Stop();
+  }
+
+  EventServerMetrics Instruments() {
+    EventServerMetrics m;
+    m.rejected = &rejected;
+    m.errors = &errors;
+    m.queue_depth = &queue_depth;
+    return m;
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      open = true;
+    }
+    cv.notify_all();
+  }
+  std::string Handle(const std::string& payload) {
+    entered.fetch_add(1);
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [this] { return open; });
+    }
+    if (payload == "throw") throw std::runtime_error("handler blew up");
+    return "echo:" + payload;
+  }
+
+  Counter rejected;
+  Counter errors;
+  Gauge queue_depth;
+  std::atomic<int> entered{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;  ///< guarded by mu
+  EventServer server;
+};
+
+TEST(EventServerTest, QueueFullShedsWithHintAfterTheInOrderFlush) {
+  EventServerOptions options;
+  options.num_workers = 1;
+  options.queue_depth = 1;
+  options.retry_after_ms = 7;
+  GatedCore core(options);
+  int fd = TimedConnect(core.server.port());
+  const std::string first = Framed("1");
+  ASSERT_EQ(::send(fd, first.data(), first.size(), 0),
+            static_cast<ssize_t>(first.size()));
+  ASSERT_TRUE(WaitFor([&] { return core.entered.load() == 1; }));
+  // Frame 1 holds the only worker, frame 2 takes the only queue slot,
+  // frame 3 finds the queue full.
+  const std::string rest = Framed("2") + Framed("3");
+  ASSERT_EQ(::send(fd, rest.data(), rest.size(), 0),
+            static_cast<ssize_t>(rest.size()));
+  ASSERT_TRUE(WaitFor([&] { return core.rejected.value() == 1; }));
+  EXPECT_EQ(core.queue_depth.value(), 1);
+
+  // The shed answer waits its turn behind the two admitted frames.
+  core.Open();
+  std::string response;
+  ASSERT_TRUE(ReadFrame(fd, &response).ok());
+  EXPECT_EQ(response, "echo:1");
+  ASSERT_TRUE(ReadFrame(fd, &response).ok());
+  EXPECT_EQ(response, "echo:2");
+  ASSERT_TRUE(ReadFrame(fd, &response).ok());
+  EXPECT_NE(response.find("\"status\":\"overloaded\""), std::string::npos);
+  EXPECT_NE(response.find("\"retry_after_ms\":7"), std::string::npos);
+  Status eof = ReadFrame(fd, &response);
+  EXPECT_TRUE(eof.IsAborted()) << eof;  // closed right after the hint
+  EXPECT_EQ(core.errors.value(), 0u);
+  ::close(fd);
+}
+
+TEST(EventServerTest, ThrowingHandlerAnswersInternal) {
+  GatedCore core(EventServerOptions{});
+  core.Open();
+  int fd = TimedConnect(core.server.port());
+  ASSERT_TRUE(WriteFrame(fd, "throw").ok());
+  std::string response;
+  ASSERT_TRUE(ReadFrame(fd, &response).ok());
+  EXPECT_NE(response.find("\"error\":\"internal\""), std::string::npos);
+  EXPECT_NE(response.find("handler blew up"), std::string::npos);
+  EXPECT_EQ(core.errors.value(), 1u);
+  // Only that request failed; the connection and the worker live on.
+  ASSERT_TRUE(WriteFrame(fd, "next").ok());
+  ASSERT_TRUE(ReadFrame(fd, &response).ok());
+  EXPECT_EQ(response, "echo:next");
+  ::close(fd);
+}
+
+TEST(EventServerTest, DrainClosesAConnectionRightAfterItsNextResponse) {
+  EventServerOptions options;
+  options.num_workers = 1;
+  options.max_connections = 64;  // only the drain may shed here
+  GatedCore core(options);
+  int fd = TimedConnect(core.server.port());
+  ASSERT_TRUE(WriteFrame(fd, "in-flight").ok());
+  ASSERT_TRUE(WaitFor([&] { return core.entered.load() == 1; }));
+
+  auto start = std::chrono::steady_clock::now();
+  std::thread drainer([&] { core.server.Drain(/*timeout_ms=*/5000); });
+  // Once draining, a fresh accept is shed with the overload envelope.
+  bool shedding = WaitFor([&] {
+    int probe = RawConnect(core.server.port());
+    pollfd pfd{probe, POLLIN, 0};
+    std::string response;
+    bool shed = false;
+    if (::poll(&pfd, 1, 20) == 1 && ReadFrame(probe, &response).ok()) {
+      shed = response.find("overloaded") != std::string::npos;
+    }
+    ::close(probe);
+    return shed;
+  });
+  EXPECT_TRUE(shedding);
+
+  core.Open();
+  std::string response;
+  EXPECT_TRUE(ReadFrame(fd, &response).ok());
+  EXPECT_EQ(response, "echo:in-flight");
+  Status eof = ReadFrame(fd, &response);
+  EXPECT_TRUE(eof.IsAborted()) << eof;  // closed right after the response
+  ::close(fd);
+  drainer.join();
+  auto elapsed = std::chrono::duration<double, std::milli>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_LT(elapsed.count(), 4000.0)
+      << "drain waited out its timeout instead of the last connection";
 }
 
 // ------------------------------------------------------------ analytics
